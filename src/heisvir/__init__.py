@@ -71,15 +71,14 @@ from .modules import (
     Vab,
     VPrime,
     build_window,
-    intermediate_action,
     irreducible_quotient,
     is_reducible,
     module_defects,
     module_spec_from_json,
     module_spec_to_json,
     rescale_window,
-    vir_action,
     windows_equal,
+    x_blocks,
 )
 from .scalars import Rational, parse_rational, rat, rat_str
 from .verma import (

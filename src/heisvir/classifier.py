@@ -18,18 +18,23 @@ kernels of the I-action, and the support-shape heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .algebra import igen, xgen
 from .linalg import SpanBuilder, sparse_nullspace
 from .modules import (
     Block,
     IntermediateParams,
+    ModuleSpec,
     ModuleWindow,
+    Vab,
+    _x_degree_bound,
+    build_window,
     is_reducible,
     module_defects,
+    x_blocks,
 )
 from .scalars import is_integer, rat
 
@@ -81,6 +86,107 @@ class ScalarSystem:
     quadratic: tuple[QuadraticRelation, ...]
 
 
+def _backbone(strands: tuple[ModuleSpec, ...], n: int) -> dict[tuple[int, int], Block]:
+    """Blocks of x[i] out of index k, |k| <= 2n, on the direct sum of strands.
+
+    Every degree all strands define gets a square block at every such k, zero
+    blocks included; the target index is always k + i.  Only rank-one strands
+    ever act by zero, so an empty action stands for a 1x1 zero block.
+    """
+    bound = min(_x_degree_bound(spec, n) for spec in strands)
+    x: dict[tuple[int, int], Block] = {}
+    for i in range(-bound, bound + 1):
+        for k in range(-2 * n, 2 * n + 1):
+            parts = [
+                hits[0][1] if (hits := x_blocks(spec, i, k)) else ((_ZERO,),)
+                for spec in strands
+            ]
+            rows: list[tuple[Fraction, ...]] = []
+            for part in parts:
+                rows += [(_ZERO,) * len(rows) + row for row in part]
+            x[(i, k)] = tuple(row + (_ZERO,) * (len(rows) - len(row)) for row in rows)
+    return x
+
+
+def _relation_layers(
+    x: dict[tuple[int, int], Block],
+    n: int,
+    hole: Optional[int] = None,
+    punctured: bool = False,
+) -> tuple[tuple, tuple[LinearRelation, ...], tuple[QuadraticRelation, ...]]:
+    """Unknowns, linear rows and quadratic rows over the backbone x on [-n, n].
+
+    With p x p backbone blocks, unknown keys are (j, m) at p = 1 and
+    (j, m, r, c) otherwise: the (r, c) entry of the block of I(j) out of index
+    m, columns indexing the source basis vector.  The linear layer is the I(0)
+    normalization followed by the [x_i, I_j] rows, the quadratic layer the
+    [I_i, I_j] rows.  A relation is dropped when any of m, m+i, m+j, m+i+j is
+    the index hole; punctured mode also deletes the unknowns and the
+    normalization rows touching it and moves the central terms as
+    build_scalar_system describes.
+    """
+    p = len(x[(0, 0)])
+    window = range(-n, n + 1)
+    cells = [(r, c) for r in range(p) for c in range(p)]
+
+    def key(j: int, m: int, r: int, c: int) -> tuple[int, ...]:
+        return (j, m) if p == 1 else (j, m, r, c)
+
+    unknowns = tuple(
+        key(j, m, r, c)
+        for j in window
+        for m in window
+        for r, c in cells
+        if not (punctured and hole in (m, m + j))
+    )
+    linear = [
+        LinearRelation(((key(0, m, r, c), _ONE),), f_coeff=-_ONE if r == c else _ZERO)
+        for m in window
+        for r, c in cells
+        if not (punctured and m == hole)
+    ]
+    for i in window:
+        if i == 0 or (i, 0) not in x:  # x[i] undefined in the backbone
+            continue
+        for j in window:
+            for m in window:
+                if abs(m + i) > n or abs(i + j) > n or hole in (m, m + i, m + j, m + i + j):
+                    continue
+                after, first = x[(i, m + j)], x[(i, m)]
+                delta = Fraction(i * i + i) if i == -j else _ZERO
+                for r, c in cells:
+                    terms = [(key(j, m, k, c), after[r][k]) for k in range(p)]
+                    terms += [(key(j, m + i, r, k), -first[k][c]) for k in range(p)]
+                    terms.append((key(i + j, m, r, c), Fraction(-j)))
+                    terms = sorted(t for t in terms if t[1])
+                    charge = -delta if r == c else _ZERO
+                    if not terms and not charge:
+                        continue
+                    linear.append(
+                        LinearRelation(
+                            tuple(terms),
+                            f_coeff=charge if punctured else _ZERO,
+                            cdi_coeff=_ZERO if punctured else charge,
+                        )
+                    )
+    quadratic: list[QuadraticRelation] = []
+    for i in window:
+        for j in range(i + 1, n + 1):
+            for m in window:
+                if abs(m + i) > n or abs(m + j) > n or hole in (m, m + i, m + j, m + i + j):
+                    continue
+                ci = Fraction(-i) if i == -j and not punctured else _ZERO
+                for r, c in cells:
+                    products = []
+                    for k in range(p):
+                        products.append((key(i, m + j, r, k), key(j, m, k, c), _ONE))
+                        products.append((key(j, m + i, r, k), key(i, m, k, c), -_ONE))
+                    quadratic.append(
+                        QuadraticRelation(tuple(products), ci if r == c else _ZERO)
+                    )
+    return unknowns, tuple(linear), tuple(quadratic)
+
+
 def build_scalar_system(
     alpha: Fraction, beta: Fraction, n: int, punctured: bool
 ) -> ScalarSystem:
@@ -102,74 +208,10 @@ def build_scalar_system(
             raise ValueError("punctured backbone requires an integer offset")
         alpha = _ZERO
         beta = _ZERO
-
-    def exists(i: int, m: int) -> bool:
-        if abs(i) > n or abs(m) > n:
-            return False
-        if punctured and (m == 0 or m + i == 0):
-            return False
-        return True
-
-    unknowns = tuple(
-        (i, m)
-        for i in range(-n, n + 1)
-        for m in range(-n, n + 1)
-        if exists(i, m)
+    unknowns, linear, quadratic = _relation_layers(
+        _backbone((Vab(alpha, beta),), n), n, 0 if punctured else None, punctured
     )
-    linear: list[LinearRelation] = []
-    for m in range(-n, n + 1):
-        if exists(0, m):
-            linear.append(LinearRelation((((0, m), _ONE),), f_coeff=-_ONE))
-    for i in range(-n, n + 1):
-        if i == 0:
-            continue
-        for j in range(-n, n + 1):
-            for m in range(-n, n + 1):
-                if not (exists(j, m) and exists(j, m + i) and exists(i + j, m)):
-                    continue
-                if punctured and (m + j == 0 or m + i + j == 0):
-                    continue
-                coeffs: dict[tuple[int, int], Fraction] = {}
-                for key, c in (
-                    ((j, m), alpha + m + j + i * beta),
-                    ((j, m + i), -(alpha + m + i * beta)),
-                    ((i + j, m), Fraction(-j)),
-                ):
-                    if c:
-                        coeffs[key] = coeffs.get(key, _ZERO) + c
-                coeffs = {k: c for k, c in coeffs.items() if c}
-                delta = Fraction(i * i + i) if i == -j else _ZERO
-                if not coeffs and not delta:
-                    continue
-                linear.append(
-                    LinearRelation(
-                        tuple(sorted(coeffs.items())),
-                        f_coeff=-delta if punctured else _ZERO,
-                        cdi_coeff=_ZERO if punctured else -delta,
-                    )
-                )
-    quadratic: list[QuadraticRelation] = []
-    for i in range(-n, n + 1):
-        for j in range(i + 1, n + 1):
-            for m in range(-n, n + 1):
-                if not (
-                    exists(i, m)
-                    and exists(j, m)
-                    and exists(j, m + i)
-                    and exists(i, m + j)
-                ):
-                    continue
-                products = (
-                    ((j, m + i), (i, m), _ONE),
-                    ((i, m + j), (j, m), -_ONE),
-                )
-                ci = _ZERO
-                if not punctured and i == -j:
-                    ci = Fraction(-j)
-                quadratic.append(QuadraticRelation(products, ci))
-    return ScalarSystem(
-        alpha, beta, n, punctured, unknowns, tuple(linear), tuple(quadratic)
-    )
+    return ScalarSystem(alpha, beta, n, punctured, unknowns, linear, quadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +224,6 @@ class LinExpr:
 
     f1: tuple[tuple[int, Fraction], ...]
     f: Fraction = _ZERO
-
-    def substitute_constant(self) -> Fraction:
-        """Value of the expression under F1[m] := F, as a multiple of F."""
-        return sum((c for _, c in self.f1), _ZERO) + self.f
 
 
 @dataclass(frozen=True)
@@ -375,9 +413,9 @@ def check_family(s: ScalarSystem, fam: SolutionFamily) -> bool:
 # solving
 
 
-def _linear_rows(s: ScalarSystem) -> list[dict]:
+def _linear_rows(relations: Iterable[LinearRelation]) -> list[dict]:
     rows = []
-    for rel in s.linear:
+    for rel in relations:
         row: dict = {key: c for key, c in rel.terms}
         if rel.f_coeff:
             row[_F_COL] = rel.f_coeff
@@ -455,7 +493,7 @@ def _solve_dense(s: ScalarSystem) -> list[SolutionFamily]:
     # away before the F[1, .] column, leaving those plus F as the free data
     cols = [key for key in s.unknowns if key[0] != 1]
     cols += [key for key in s.unknowns if key[0] == 1]
-    basis = sparse_nullspace(_linear_rows(s), cols + [_F_COL, _CDI_COL])
+    basis = sparse_nullspace(_linear_rows(s.linear), cols + [_F_COL, _CDI_COL])
     if any(vec.get(_CDI_COL) for vec in basis):
         raise UnclassifiedBranch(
             "window relations leave the mixing central charge unresolved"
@@ -585,9 +623,8 @@ def _discharge_homogeneous_line(
     # the reducibility break sits within one step of n0, so the oracle's
     # inner range must reach past it
     wide = max(s.window, abs(n0) + 5, 8)
-    window = _window_from_values(
-        s.alpha, s.beta, lambda i, m: spike(i, m) * scale, wide
-    )
+    candidate = SolutionFamily("Spike", _ZERO, _ZERO, spike)
+    window = materialize_family(s.alpha, s.beta, candidate, scale, wide)
     if module_defects(window, 2):
         return None  # truncation artifact, not a module at all
     if irreducibility_oracle(window):
@@ -598,7 +635,7 @@ def _discharge_homogeneous_line(
 
 
 def _solve_punctured(s: ScalarSystem) -> list[SolutionFamily]:
-    basis = sparse_nullspace(_linear_rows(s), list(s.unknowns) + [_F_COL])
+    basis = sparse_nullspace(_linear_rows(s.linear), list(s.unknowns) + [_F_COL])
     if any(vec.get(_F_COL) for vec in basis):
         raise UnclassifiedBranch(
             "the punctured linear layer leaves the I(0) scalar free"
@@ -660,26 +697,6 @@ def solve_scalar(alpha: Fraction, beta: Fraction, n: int) -> list[SolutionFamily
 # materialized windows
 
 
-def _window_from_values(
-    alpha: Fraction,
-    beta: Fraction,
-    values: Callable[[int, int], Fraction],
-    n: int,
-) -> ModuleWindow:
-    dims = {k: 1 for k in range(-n, n + 1)}
-    actions: dict = {}
-    for k in range(-n, n + 1):
-        for i in range(-n, n + 1):
-            coeff = alpha + k + beta * i
-            if coeff:
-                actions[(xgen(i), k)] = [(k + i, ((coeff,),))]
-            ival = values(i, k)
-            if ival:
-                actions[(igen(i), k)] = [(k + i, ((ival,),))]
-    scalars = {"CD": _ZERO, "CDI": _ZERO, "CI": _ZERO}
-    return ModuleWindow(rat(alpha), n, dims, actions, scalars)
-
-
 def materialize_family(
     alpha: Fraction,
     beta: Fraction,
@@ -689,10 +706,14 @@ def materialize_family(
 ) -> ModuleWindow:
     """The window with x-backbone (alpha, beta) and I-action from the family."""
     alpha, beta, f_value = rat(alpha), rat(beta), rat(f_value)
-    phi = fam.closed_form
-    return _window_from_values(
-        alpha, beta, lambda i, m: phi(i, m) * f_value, n
-    )
+    w = build_window(Vab(alpha, beta), n)
+    i_actions = {
+        (igen(i), k): [(k + i, ((val,),))]
+        for k in w.indices()
+        for i in w.indices()
+        if (val := fam.closed_form(i, k) * f_value)
+    }
+    return replace(w, actions={**w.actions, **i_actions})
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,10 @@ def _sweep_point(point: dict, default_window: int) -> tuple[bool, str]:
 
 
 def _sweep_workers(count: int) -> int:
+    """Pool size: HV_THREADS or the CPU count, capped by both and the points."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("HV_THREADS", "").strip()
-    if raw:
-        workers = max(1, int(raw))
-    else:
-        workers = os.cpu_count() or 1
+    workers = min(max(1, int(raw)), cpus) if raw else cpus
     return min(workers, count) if count else 1
 
 

@@ -15,6 +15,30 @@ SparseRow = dict  # col_key -> Fraction, zeros never stored
 SparseVec = dict
 
 
+_ZERO = Fraction(0)
+
+
+def _add_row(row: dict, pivots: dict) -> bool:
+    """Reduce ``row`` in place against ``pivots``; keep any remainder as a new
+    pivot, keyed by its smallest key and scaled to lead with 1.  Returns
+    whether the span grew."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            inv = row[lead]
+            pivots[lead] = {c: v / inv for c, v in row.items()}
+            return True
+        factor = row[lead]
+        for c, v in piv.items():
+            nv = row.get(c, _ZERO) - factor * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    return False
+
+
 def sparse_nullspace(
     rows: Iterable[SparseRow], cols: Sequence[Hashable]
 ) -> list[SparseVec]:
@@ -28,32 +52,13 @@ def sparse_nullspace(
     # pivot column index -> reduced row (leading coefficient normalized to 1);
     # a pivot row has no entries at columns left of its pivot
     pivots: dict[int, dict[int, Fraction]] = {}
-
-    def reduce(row: dict[int, Fraction]) -> tuple[dict[int, Fraction] | None, int]:
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                return row, lead
-            factor = row[lead]
-            for c, v in piv.items():
-                nv = row.get(c, _ZERO) - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        return None, -1
-
     for raw in rows:
         row: dict[int, Fraction] = {}
         for c, v in raw.items():
             v = Fraction(v)
             if v:
                 row[col_index[c]] = v
-        reduced, lead = reduce(row)
-        if reduced is not None:
-            inv = reduced[lead]
-            pivots[lead] = {c: v / inv for c, v in reduced.items()}
+        _add_row(row, pivots)
 
     basis: list[SparseVec] = []
     for free in range(len(cols)):
@@ -72,9 +77,6 @@ def sparse_nullspace(
     return basis
 
 
-_ZERO = Fraction(0)
-
-
 class SpanBuilder:
     """Incrementally built span of sparse exact vectors.
 
@@ -88,41 +90,12 @@ class SpanBuilder:
     def __init__(self) -> None:
         self._pivots: dict[Hashable, SparseVec] = {}
 
-    def _reduce(self, vec: SparseVec) -> tuple[SparseVec | None, Hashable]:
-        while vec:
-            lead = min(vec)
-            piv = self._pivots.get(lead)
-            if piv is None:
-                return vec, lead
-            factor = vec[lead]
-            for c, v in piv.items():
-                nv = vec.get(c, _ZERO) - factor * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        return None, None
-
     def add(self, vec: SparseVec) -> bool:
-        work = {k: Fraction(v) for k, v in vec.items() if v}
-        reduced, lead = self._reduce(work)
-        if reduced is None:
-            return False
-        inv = reduced[lead]
-        self._pivots[lead] = {c: v / inv for c, v in reduced.items()}
-        return True
-
-    def contains(self, vec: SparseVec) -> bool:
-        work = {k: Fraction(v) for k, v in vec.items() if v}
-        reduced, _ = self._reduce(work)
-        return reduced is None
+        return _add_row({k: Fraction(v) for k, v in vec.items() if v}, self._pivots)
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
-
-    def pivot_coords(self) -> set:
-        return set(self._pivots)
 
     def vectors(self) -> list[SparseVec]:
         return [dict(v) for v in self._pivots.values()]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .classifier import (
     LinearRelation,
@@ -22,15 +22,15 @@ from .classifier import (
     WindowTooSmall,
     _CDI_COL,
     _F_COL,
+    _backbone,
+    _linear_rows,
+    _relation_layers,
 )
 from .linalg import sparse_nullspace
-from .modules import Block, ExtCaseA, ExtCaseB, IndexOutOfFamily, vir_action
-from .scalars import rat
+from .modules import Block, ExtCaseA, ExtCaseB, Vab
+from .scalars import is_integer, rat
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-_ZERO_BLOCK: Block = ((_ZERO, _ZERO), (_ZERO, _ZERO))
 
 
 class UnsupportedP(Exception):
@@ -52,63 +52,28 @@ class DiagonalPair:
 MatrixFixture = Union[DiagonalPair, ExtCaseA, ExtCaseB]
 
 
-def a_block(fixture: MatrixFixture, alpha: Fraction, i: int, m: int) -> Optional[Block]:
-    """The 2x2 block of x_i from weight index m, or None where undefined."""
-    if isinstance(fixture, DiagonalPair):
-        return (
-            (alpha + m + i * fixture.beta1, _ZERO),
-            (_ZERO, alpha + m + i * fixture.beta2),
-        )
-    try:
-        entries = vir_action(fixture, i, m)
-    except IndexOutOfFamily:
-        return None
-    if not entries:
-        return _ZERO_BLOCK
-    return entries[0][1]
-
-
-def _a_degrees(fixture: MatrixFixture, n: int) -> list[int]:
-    if isinstance(fixture, ExtCaseB):
-        return [-2, -1, 0, 1, 2]
-    return list(range(-n, n + 1))
-
-
-def _mat_mul(a: Block, b: Block) -> Block:
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2))
-        for r in range(2)
-    )
-
-
-def _validate_backbone(fixture: MatrixFixture, alpha: Fraction, n: int) -> None:
-    degs = _a_degrees(fixture, n)
+def _validate_backbone(x: dict[tuple[int, int], Block], n: int) -> None:
+    """Check [x_i, x_j] = (j - i) x_{i+j} blockwise for every defined degree."""
+    degs = sorted({i for i, _ in x})
     for i in degs:
         for j in degs:
-            if i + j not in degs or abs(i + j) > n:
+            if (i + j, 0) not in x:
                 continue
             for m in range(-n, n + 1):
-                ai_after = a_block(fixture, alpha, i, m + j)
-                aj_first = a_block(fixture, alpha, j, m)
-                aj_after = a_block(fixture, alpha, j, m + i)
-                ai_first = a_block(fixture, alpha, i, m)
-                target = a_block(fixture, alpha, i + j, m)
-                lhs = tuple(
-                    tuple(
-                        _mat_mul(ai_after, aj_first)[r][c]
-                        - _mat_mul(aj_after, ai_first)[r][c]
-                        for c in range(2)
-                    )
-                    for r in range(2)
-                )
-                rhs = tuple(
-                    tuple((j - i) * target[r][c] for c in range(2))
-                    for r in range(2)
-                )
-                if lhs != rhs:
-                    raise ValueError(
-                        f"fixture blocks break the x-bracket at i={i}, j={j}, m={m}"
-                    )
+                ai_after, aj_first = x[(i, m + j)], x[(j, m)]
+                aj_after, ai_first = x[(j, m + i)], x[(i, m)]
+                target = x[(i + j, m)]
+                for r in range(2):
+                    for c in range(2):
+                        lhs = sum(
+                            ai_after[r][k] * aj_first[k][c]
+                            - aj_after[r][k] * ai_first[k][c]
+                            for k in range(2)
+                        )
+                        if lhs != (j - i) * target[r][c]:
+                            raise ValueError(
+                                f"fixture blocks break the x-bracket at i={i}, j={j}, m={m}"
+                            )
 
 
 @dataclass(frozen=True)
@@ -141,81 +106,15 @@ def build_matrix_system(
     alpha = rat(alpha)
     if isinstance(fixture, (ExtCaseA, ExtCaseB)) and fixture.alpha != alpha:
         raise ValueError("fixture offset disagrees with the requested alpha")
-    _validate_backbone(fixture, alpha, n)
-
-    def valid(m: int, i: int, j: int) -> bool:
-        return bool(
-            (alpha + m)
-            and (alpha + m + i)
-            and (alpha + m + j)
-            and (alpha + m + i + j)
-        )
-
-    unknowns = tuple(
-        (j, m, r, c)
-        for j in range(-n, n + 1)
-        for m in range(-n, n + 1)
-        for r in range(2)
-        for c in range(2)
-    )
-    linear: list[LinearRelation] = []
-    for m in range(-n, n + 1):
-        for r in range(2):
-            for c in range(2):
-                f_coeff = -_ONE if r == c else _ZERO
-                linear.append(
-                    LinearRelation((((0, m, r, c), _ONE),), f_coeff=f_coeff)
-                )
-    adegs = [i for i in _a_degrees(fixture, n) if i != 0]
-    for i in adegs:
-        for j in range(-n, n + 1):
-            for m in range(-n, n + 1):
-                if abs(m + i) > n or abs(i + j) > n or not valid(m, i, j):
-                    continue
-                after = a_block(fixture, alpha, i, m + j)
-                first = a_block(fixture, alpha, i, m)
-                delta = Fraction(i * i + i) if i == -j else _ZERO
-                for r in range(2):
-                    for c in range(2):
-                        coeffs: dict[tuple[int, int, int, int], Fraction] = {}
-
-                        def acc(key, val) -> None:
-                            if val:
-                                coeffs[key] = coeffs.get(key, _ZERO) + val
-
-                        for k in range(2):
-                            acc((j, m, k, c), after[r][k])
-                            acc((j, m + i, r, k), -first[k][c])
-                        acc((i + j, m, r, c), Fraction(-j))
-                        coeffs = {k2: v for k2, v in coeffs.items() if v}
-                        cdi = -delta if (delta and r == c) else _ZERO
-                        if not coeffs and not cdi:
-                            continue
-                        linear.append(
-                            LinearRelation(
-                                tuple(sorted(coeffs.items())), cdi_coeff=cdi
-                            )
-                        )
-    quadratic: list[QuadraticRelation] = []
-    for i in range(-n, n + 1):
-        for j in range(i + 1, n + 1):
-            for m in range(-n, n + 1):
-                if abs(m + i) > n or abs(m + j) > n or not valid(m, i, j):
-                    continue
-                delta_ci = Fraction(-i) if i == -j else _ZERO
-                for r in range(2):
-                    for c in range(2):
-                        products = []
-                        for k in range(2):
-                            products.append(((i, m + j, r, k), (j, m, k, c), _ONE))
-                            products.append(((j, m + i, r, k), (i, m, k, c), -_ONE))
-                        ci = delta_ci if r == c else _ZERO
-                        quadratic.append(
-                            QuadraticRelation(tuple(products), ci)
-                        )
-    return MatrixSystem(
-        p, alpha, fixture, n, unknowns, tuple(linear), tuple(quadratic)
-    )
+    if isinstance(fixture, DiagonalPair):
+        strands = (Vab(alpha, fixture.beta1), Vab(alpha, fixture.beta2))
+    else:
+        strands = (fixture,)
+    x = _backbone(strands, n)
+    _validate_backbone(x, n)
+    hole = -int(alpha) if is_integer(alpha) else None
+    unknowns, linear, quadratic = _relation_layers(x, n, hole)
+    return MatrixSystem(p, alpha, fixture, n, unknowns, linear, quadratic)
 
 
 def verify_coupling_obstruction(system: MatrixSystem) -> bool:
@@ -226,23 +125,11 @@ def verify_coupling_obstruction(system: MatrixSystem) -> bool:
     Its nullspace is computed exactly; the verdict looks only at g-entries on
     the margin-2 inner window, where truncation cannot manufacture freedom.
     """
-    col_rows = [
-        rel
-        for rel in system.linear
-        if all(key[3] == 0 for key, _ in rel.terms)
-    ]
-    cols: list = [key for key in system.unknowns if key[3] == 0]
-    basis = sparse_nullspace(
-        [
-            dict(
-                list(rel.terms)
-                + ([(_F_COL, rel.f_coeff)] if rel.f_coeff else [])
-                + ([(_CDI_COL, rel.cdi_coeff)] if rel.cdi_coeff else [])
-            )
-            for rel in col_rows
-        ],
-        cols + [_F_COL, _CDI_COL],
+    rows = _linear_rows(
+        rel for rel in system.linear if all(key[3] == 0 for key, _ in rel.terms)
     )
+    cols: list = [key for key in system.unknowns if key[3] == 0]
+    basis = sparse_nullspace(rows, cols + [_F_COL, _CDI_COL])
     n = system.window
     for vec in basis:
         for key, val in vec.items():

@@ -129,31 +129,16 @@ class VPrime:
     """
 
 
-VirModuleKind = Union[Vab, Aa, Ba, ExtCaseA, ExtCaseB]
-ModuleSpec = Union[IntermediateParams, VirModuleKind, VPrime]
+ModuleSpec = Union[IntermediateParams, Vab, Aa, Ba, ExtCaseA, ExtCaseB, VPrime]
 
 
 # ---------------------------------------------------------------------------
 # pointwise actions
 
 
-def intermediate_action(
-    p: IntermediateParams, gen: Gen, k: int
-) -> Optional[tuple[Fraction, int]]:
-    """Coefficient and target index for one generator on one basis vector.
-
-    Returns None exactly when the coefficient is zero; central generators
-    always act by zero here.
-    """
-    if gen.central:
-        return None
-    if gen.kind == "x":
-        coeff = p.alpha + k + p.beta * gen.n
-    else:
-        coeff = p.F
-    if not coeff:
-        return None
-    return coeff, k + gen.n
+def _x_degree_bound(spec: ModuleSpec, n: int) -> int:
+    """Largest |i| <= n for which x[i] acts; ExtCaseB stops at degree 2."""
+    return min(n, 2) if isinstance(spec, ExtCaseB) else n
 
 
 def _ext_b_coupling(alpha: Fraction, i: int, k: int) -> Fraction:
@@ -164,35 +149,33 @@ def _ext_b_coupling(alpha: Fraction, i: int, k: int) -> Fraction:
     return _ZERO
 
 
-def vir_action(
-    kind: VirModuleKind, i: int, k: int
-) -> list[tuple[int, Union[Fraction, Block]]]:
-    """Action of x[i] on the k-th basis slot of a Virasoro-type family.
+def x_blocks(spec: ModuleSpec, i: int, k: int) -> list[tuple[int, Block]]:
+    """Action of x[i] on the k-th basis slot as (target, block) pairs.
 
-    Rank-one kinds yield at most one (target, coefficient) pair; the extension
-    kinds yield one (target, 2x2 block) pair in column convention with basis
-    order (unprimed, primed).
+    Blocks are in column convention; the two-dimensional families use basis
+    order (unprimed, primed).  A vanishing action yields no pair at all, and
+    a degree the family does not define raises IndexOutOfFamily.
     """
-    if isinstance(kind, Vab):
-        coeff = kind.alpha + k + kind.beta * i
-        return [(k + i, coeff)] if coeff else []
-    if isinstance(kind, Aa):
-        coeff = Fraction(i + k) if k != 0 else Fraction(i) * (i + kind.a)
-        return [(k + i, coeff)] if coeff else []
-    if isinstance(kind, Ba):
-        coeff = Fraction(k) if k != -i else -Fraction(i) * (i + kind.a)
-        return [(k + i, coeff)] if coeff else []
-    if isinstance(kind, ExtCaseA):
-        diag = kind.alpha + k
-        block = ((diag, Fraction(-i)), (_ZERO, diag))
-        return [(k + i, block)]
-    if isinstance(kind, ExtCaseB):
-        if abs(i) > 2:
-            raise IndexOutOfFamily(f"ExtCaseB defines no action for degree {i}")
-        diag = kind.alpha + k
-        block = ((diag, _ext_b_coupling(kind.alpha, i, k)), (_ZERO, diag))
-        return [(k + i, block)]
-    raise TypeError(f"not a Virasoro-family kind: {kind!r}")
+    if abs(i) > _x_degree_bound(spec, abs(i)):
+        raise IndexOutOfFamily(f"{type(spec).__name__} defines no action for degree {i}")
+    if isinstance(spec, (IntermediateParams, Vab)):
+        coeff = spec.alpha + k + spec.beta * i
+    elif isinstance(spec, Aa):
+        coeff = Fraction(i + k) if k != 0 else Fraction(i) * (i + spec.a)
+    elif isinstance(spec, Ba):
+        coeff = Fraction(k) if k != -i else -Fraction(i) * (i + spec.a)
+    elif isinstance(spec, VPrime):
+        # the target v_0 is deleted, which the vanishing coefficient encodes
+        coeff = Fraction(k + i) if k != 0 else _ZERO
+    elif isinstance(spec, ExtCaseA):
+        diag = spec.alpha + k
+        return [(k + i, ((diag, Fraction(-i)), (_ZERO, diag)))]
+    elif isinstance(spec, ExtCaseB):
+        diag = spec.alpha + k
+        return [(k + i, ((diag, _ext_b_coupling(spec.alpha, i, k)), (_ZERO, diag)))]
+    else:
+        raise TypeError(f"not a module family: {spec!r}")
+    return [(k + i, ((coeff,),))] if coeff else []
 
 
 def is_reducible(p: IntermediateParams) -> bool:
@@ -206,10 +189,6 @@ def is_reducible(p: IntermediateParams) -> bool:
 
 def _block_is_zero(block: Block) -> bool:
     return all(not entry for row in block for entry in row)
-
-
-def _scalar_block(coeff: Fraction) -> Block:
-    return ((coeff,),)
 
 
 @dataclass(frozen=True)
@@ -233,9 +212,6 @@ class ModuleWindow:
 
     def in_window(self, k: int) -> bool:
         return -self.n <= k <= self.n
-
-    def weight(self, k: int) -> Fraction:
-        return self.offset + k
 
     def indices(self) -> range:
         return range(-self.n, self.n + 1)
@@ -273,10 +249,6 @@ class ModuleWindow:
                 out[key] = out.get(key, _ZERO) + coeff * c
         return {key: c for key, c in out.items() if c}
 
-    def generator_degrees(self) -> list[int]:
-        """Degrees for which some x or I action block is stored."""
-        return sorted({g.n for g, _ in self.actions})
-
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     out = dict(a)
@@ -303,27 +275,9 @@ def _family_offset(spec: ModuleSpec) -> Fraction:
     return _ZERO
 
 
-def _x_blocks(spec: ModuleSpec, i: int, k: int) -> list[tuple[int, Block]]:
-    if isinstance(spec, IntermediateParams):
-        hit = intermediate_action(spec, xgen(i), k)
-        return [(hit[1], _scalar_block(hit[0]))] if hit else []
-    if isinstance(spec, VPrime):
-        if k == 0:
-            return []
-        coeff = Fraction(k + i)
-        # the target v_0 is deleted, which the vanishing coefficient encodes
-        return [(k + i, _scalar_block(coeff))] if coeff else []
-    out: list[tuple[int, Block]] = []
-    for target, payload in vir_action(spec, i, k):
-        block = payload if isinstance(payload, tuple) else _scalar_block(payload)
-        if not _block_is_zero(block):
-            out.append((target, block))
-    return out
-
-
 def _i_blocks(spec: ModuleSpec, i: int, k: int) -> list[tuple[int, Block]]:
     if isinstance(spec, IntermediateParams) and spec.F:
-        return [(k + i, _scalar_block(spec.F))]
+        return [(k + i, ((spec.F,),))]
     return []
 
 
@@ -336,14 +290,14 @@ def build_window(spec: ModuleSpec, n: int) -> ModuleWindow:
     """
     if n < 1:
         raise ValueError("window half-width must be at least 1")
-    max_x_degree = min(n, 2) if isinstance(spec, ExtCaseB) else n
+    max_x_degree = _x_degree_bound(spec, n)
     dims = {k: _family_dim(spec, k) for k in range(-n, n + 1)}
     actions: dict[tuple[Gen, int], list[tuple[int, Block]]] = {}
     for k in range(-n, n + 1):
         if dims[k] == 0:
             continue
         for i in range(-max_x_degree, max_x_degree + 1):
-            blocks = _x_blocks(spec, i, k)
+            blocks = x_blocks(spec, i, k)
             if blocks:
                 actions[(xgen(i), k)] = blocks
         for i in range(-n, n + 1):

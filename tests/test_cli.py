@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from heisvir.cli import run
+from heisvir.cli import _sweep_workers, run
 
 
 def run_json(capsys, argv, expect_code=0):
@@ -174,6 +174,20 @@ def test_sweep_clean_grid(tmp_path, capsys, monkeypatch):
     assert run(["sweep", str(grid)]) == 0
     lines = [json.loads(s) for s in capsys.readouterr().out.strip().splitlines()]
     assert [ln["alpha"] for ln in lines] == ["1/3", "1/4"]
+
+
+def test_sweep_workers_capped_by_cpu_count(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setenv("HV_THREADS", "5000")
+    assert _sweep_workers(5000) == 4
+    assert _sweep_workers(3) == 3
+    assert _sweep_workers(0) == 1
+    monkeypatch.setenv("HV_THREADS", "2")
+    assert _sweep_workers(5000) == 2
+    monkeypatch.delenv("HV_THREADS")
+    assert _sweep_workers(5000) == 4
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _sweep_workers(5000) == 1
 
 
 def test_sweep_rejects_non_array(tmp_path, capsys):

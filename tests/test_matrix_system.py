@@ -10,14 +10,17 @@ from heisvir import (
     DiagonalPair,
     ExtCaseA,
     ExtCaseB,
+    IndexOutOfFamily,
     UnsupportedP,
+    Vab,
     WindowTooSmall,
     build_matrix_system,
     check_matrix_family,
     constant_matrix_family,
     verify_coupling_obstruction,
+    x_blocks,
 )
-from heisvir.matrix_system import a_block
+from heisvir.classifier import _backbone
 
 F = Fraction
 A = F(1, 3)
@@ -36,13 +39,17 @@ def test_extension_offset_must_match():
 
 
 def test_backbone_blocks():
-    assert a_block(DiagonalPair(F(0), F(2)), A, 2, 1) == (
-        (A + 1, F(0)),
-        (F(0), A + 5),
-    )
+    # a diagonal pair is the direct sum of two Vab strands
+    strands = (Vab(A, F(0)), Vab(A, F(2)))
+    assert [x_blocks(s, 2, 1) for s in strands] == [
+        [(3, ((A + 1,),))],
+        [(3, ((A + 5,),))],
+    ]
+    assert _backbone(strands, 4)[(2, 1)] == ((A + 1, F(0)), (F(0), A + 5))
     # extension backbones come from the module families themselves
-    assert a_block(ExtCaseA(alpha=A), A, 2, 1) == ((A + 1, F(-2)), (F(0), A + 1))
-    assert a_block(ExtCaseB(alpha=A), A, 3, 0) is None
+    assert x_blocks(ExtCaseA(alpha=A), 2, 1) == [(3, ((A + 1, F(-2)), (F(0), A + 1)))]
+    with pytest.raises(IndexOutOfFamily):
+        x_blocks(ExtCaseB(alpha=A), 3, 0)
 
 
 def test_identity_layer_pins_degree_zero():

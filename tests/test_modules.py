@@ -20,15 +20,14 @@ from heisvir import (
     Vab,
     build_window,
     igen,
-    intermediate_action,
     irreducible_quotient,
     is_reducible,
     module_defects,
     module_spec_from_json,
     module_spec_to_json,
     rescale_window,
-    vir_action,
     windows_equal,
+    x_blocks,
     xgen,
 )
 from heisvir.scalars import random_rational
@@ -38,44 +37,45 @@ F = Fraction
 
 def test_intermediate_action_values():
     p = IntermediateParams(F(1, 2), F(1), F(7))
-    assert intermediate_action(p, xgen(2), 0) == (F(5, 2), 2)
-    assert intermediate_action(p, igen(3), 1) == (F(7), 4)
-    assert intermediate_action(p, CD, 5) is None
+    assert x_blocks(p, 2, 0) == [(2, ((F(5, 2),),))]
+    w = build_window(p, 5)
+    assert w.actions[(igen(3), 1)] == [(4, ((F(7),),))]
+    assert (CD, 5) not in w.actions and w.apply(CD, w.basis_vec(5)) == {}
     # coefficient alpha + k + beta*i vanishing drops the term entirely
     q = IntermediateParams(F(0), F(0), F(0))
-    assert intermediate_action(q, xgen(3), 0) is None
-    assert intermediate_action(q, igen(3), 0) is None
+    assert x_blocks(q, 3, 0) == []
+    assert (igen(3), 0) not in build_window(q, 5).actions
 
 
 def test_vir_action_rank_one_families():
-    assert vir_action(Vab(alpha=F(1, 3), beta=F(2)), 2, 1) == [(3, F(16, 3))]
-    assert vir_action(Aa(a=F(3)), 2, 0) == [(2, F(10))]
-    assert vir_action(Aa(a=F(3)), 2, 1) == [(3, F(3))]
+    assert x_blocks(Vab(alpha=F(1, 3), beta=F(2)), 2, 1) == [(3, ((F(16, 3),),))]
+    assert x_blocks(Aa(a=F(3)), 2, 0) == [(2, ((F(10),),))]
+    assert x_blocks(Aa(a=F(3)), 2, 1) == [(3, ((F(3),),))]
     a = F(5, 7)
-    assert vir_action(Ba(a=a), 2, -2) == [(0, -2 * (2 + a))]
-    assert vir_action(Ba(a=a), 2, 3) == [(5, F(3))]
-    assert vir_action(Ba(a=a), 2, 0) == []
+    assert x_blocks(Ba(a=a), 2, -2) == [(0, ((-2 * (2 + a),),))]
+    assert x_blocks(Ba(a=a), 2, 3) == [(5, ((F(3),),))]
+    assert x_blocks(Ba(a=a), 2, 0) == []
 
 
 def test_vir_action_extension_blocks():
     a = F(1, 3)
-    [(target, block)] = vir_action(ExtCaseA(alpha=a), 2, 1)
+    [(target, block)] = x_blocks(ExtCaseA(alpha=a), 2, 1)
     assert target == 3
     assert block == ((a + 1, F(-2)), (F(0), a + 1))
 
-    [(target, block)] = vir_action(ExtCaseB(alpha=F(1, 2)), 2, 0)
+    [(target, block)] = x_blocks(ExtCaseB(alpha=F(1, 2)), 2, 0)
     assert target == 2
     assert block == ((F(1, 2), F(4, 15)), (F(0), F(1, 2)))
     # degree 1 stays uncoupled, degree -2 flips the sign of the coupling
-    [(_, b1)] = vir_action(ExtCaseB(alpha=F(1, 2)), 1, 0)
+    [(_, b1)] = x_blocks(ExtCaseB(alpha=F(1, 2)), 1, 0)
     assert b1[0][1] == 0
-    [(_, bm2)] = vir_action(ExtCaseB(alpha=F(1, 2)), -2, 0)
+    [(_, bm2)] = x_blocks(ExtCaseB(alpha=F(1, 2)), -2, 0)
     assert bm2[0][1] == -1 / ((F(1, 2) - 1) * (F(1, 2) - 2))
 
 
 def test_ext_b_family_boundaries():
     with pytest.raises(IndexOutOfFamily):
-        vir_action(ExtCaseB(alpha=F(1, 2)), 3, 0)
+        x_blocks(ExtCaseB(alpha=F(1, 2)), 3, 0)
     with pytest.raises(ValueError):
         ExtCaseB(alpha=F(2))
     with pytest.raises(ValueError):
