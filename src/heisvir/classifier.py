@@ -505,8 +505,6 @@ def _solve_dense(s: ScalarSystem) -> list[SolutionFamily]:
         )
     f_zero = is_reducible(IntermediateParams(s.alpha, s.beta, _ZERO))
     constant = SolutionFamily("Constant", _ZERO, _ZERO, _constant_form, f_zero)
-    if not check_family(s, constant):
-        raise UnclassifiedBranch("constant family fails its own relations")
     if rank == 1:
         return [constant]
 

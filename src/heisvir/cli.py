@@ -34,6 +34,27 @@ from .modules import (
 from .scalars import parse_rational, random_rational, rat_str
 from .verma import HighestWeight, level_basis, singular_space, weight_dims
 
+# Caps on the size arguments, so that an oversized request exits 2 before any
+# work starts.  Cost grows steeply with each; the README lists the time
+# measured at each cap.
+MAX_CLASSIFY_WINDOW = 24  # classify, sweep (also a grid point's own window)
+MAX_AXIOM_WINDOW = 12  # check-axioms
+MAX_MODULE_WINDOW = 128  # module-table, torsion
+MAX_VERMA_DEPTH = 12  # verma-singular --depth
+MAX_VERMA_DIMS = 28  # verma-dims --max
+
+
+def _capped(cap: int):
+    """argparse type: an int no larger than ``cap``."""
+
+    def capped_int(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the cap of {cap}")
+        return value
+
+    return capped_int
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
@@ -214,6 +235,8 @@ def _sweep_point(point: dict, default_window: int) -> tuple[bool, str]:
     try:
         n = int(point.get("window", default_window))
         base["window"] = n
+        if n > MAX_CLASSIFY_WINDOW:
+            raise ValueError(f"window {n} is above the cap of {MAX_CLASSIFY_WINDOW}")
         return True, json.dumps(_classify_payload(base["alpha"], base["beta"], n))
     except WindowTooSmall as exc:
         base["error"] = f"window too small: {exc}"
@@ -272,20 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bracket)
 
     p = sub.add_parser("check-axioms", help="antisymmetry, Jacobi, module axioms")
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_capped(MAX_AXIOM_WINDOW), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_check_axioms)
 
     p = sub.add_parser("module-table", help="action table of a described module")
     p.add_argument("spec", help="path to a module description (JSON object)")
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_capped(MAX_MODULE_WINDOW), default=4)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_module_table)
 
     p = sub.add_parser("classify", help="solution families at a weight offset")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--window", type=int, default=6)
+    p.add_argument("--window", type=_capped(MAX_CLASSIFY_WINDOW), default=6)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("reducible", help="reducibility of a dense rank-one module")
@@ -295,24 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reducible)
 
     p = sub.add_parser("verma-dims", help="weight space dimensions by depth")
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=_capped(MAX_VERMA_DIMS), default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_verma_dims)
 
     p = sub.add_parser("verma-singular", help="singular vectors at a given depth")
     p.add_argument("--hw", required=True, help="5 comma-separated rationals")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_capped(MAX_VERMA_DEPTH), required=True)
     p.set_defaults(fn=_cmd_verma_singular)
 
     p = sub.add_parser("torsion", help="joint I-kernel dimensions per weight")
     p.add_argument("spec", help="path to a module description (JSON object)")
     p.add_argument("--j", type=int, default=1)
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--window", type=_capped(MAX_MODULE_WINDOW), default=8)
     p.set_defaults(fn=_cmd_torsion)
 
     p = sub.add_parser("sweep", help="classify a grid of parameter points")
     p.add_argument("grid", help="path to a JSON array of parameter objects")
-    p.add_argument("--window", type=int, default=6)
+    p.add_argument("--window", type=_capped(MAX_CLASSIFY_WINDOW), default=6)
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

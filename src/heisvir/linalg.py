@@ -2,41 +2,62 @@
 
 The relation systems produced elsewhere in the package are sparse (a handful
 of entries per row) with columns keyed by structured tuples rather than dense
-indices, so this module works directly with ``dict`` rows. Everything is
-Fraction-exact; there is no floating point anywhere.
+indices, so this module works directly with ``dict`` rows.
+
+``sparse_nullspace`` clears each row to one primitive integer row.  Most rows
+are redundant, so Gauss elimination mod the prime p = 2^61 - 1 picks the rows
+to keep (rows independent mod p are independent over Q), and exact
+``Fraction`` elimination runs on those only.  Every original row must then
+vanish exactly on every basis vector; if one does not, the exact elimination
+is redone on all rows.  No unchecked basis is returned and no float is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Sequence
 
-SparseRow = dict  # col_key -> Fraction, zeros never stored
+SparseRow = dict  # col_key -> int or Fraction, zeros never stored
 SparseVec = dict
 
+_P = 2**61 - 1
 
-_ZERO = Fraction(0)
 
-
-def _add_row(row: dict, pivots: dict) -> bool:
+def _add_row(row: dict, pivots: dict, modulus: int = 0) -> bool:
     """Reduce ``row`` in place against ``pivots``; keep any remainder as a new
     pivot, keyed by its smallest key and scaled to lead with 1.  Returns
-    whether the span grew."""
+    whether the span grew.  With a ``modulus`` the entries are residues and
+    every step is taken mod ``modulus``; without one every step is exact."""
     while row:
         lead = min(row)
         piv = pivots.get(lead)
         if piv is None:
-            inv = row[lead]
-            pivots[lead] = {c: v / inv for c, v in row.items()}
+            if modulus:
+                inv = pow(row[lead], -1, modulus)
+                pivots[lead] = {c: v * inv % modulus for c, v in row.items()}
+            else:
+                inv = Fraction(row[lead])
+                pivots[lead] = {c: v / inv for c, v in row.items()}
             return True
         factor = row[lead]
         for c, v in piv.items():
-            nv = row.get(c, _ZERO) - factor * v
+            nv = row.get(c, 0) - factor * v
+            if modulus:
+                nv %= modulus
             if nv:
                 row[c] = nv
             else:
                 row.pop(c, None)
     return False
+
+
+def _primitive(vec: dict) -> dict:
+    """The primitive integer multiple of a sparse rational vector."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    ints = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
 def sparse_nullspace(
@@ -45,36 +66,51 @@ def sparse_nullspace(
     """Nullspace basis of a sparse matrix.
 
     ``rows`` holds the equations (each a dict mapping a column key to a nonzero
-    rational coefficient); ``cols`` fixes the column order used for pivot
-    selection. Returns one sparse vector per free column, keyed like the rows.
+    ``int`` or ``Fraction`` coefficient); ``cols`` fixes the column order used
+    for pivot selection. Returns one sparse vector per free column, keyed like
+    the rows; for a fixed column order the basis is canonical.
     """
     col_index = {c: i for i, c in enumerate(cols)}
-    # pivot column index -> reduced row (leading coefficient normalized to 1);
-    # a pivot row has no entries at columns left of its pivot
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for raw in rows:
-        row: dict[int, Fraction] = {}
-        for c, v in raw.items():
-            v = Fraction(v)
-            if v:
-                row[col_index[c]] = v
-        _add_row(row, pivots)
-
-    basis: list[SparseVec] = []
-    for free in range(len(cols)):
-        if free in pivots:
-            continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
-        # back-substitute highest pivot first; pivot rows only reach rightwards
-        for p in sorted(pivots, reverse=True):
-            acc = _ZERO
-            for c, v in pivots[p].items():
-                if c != p and c in vec:
-                    acc += v * vec[c]
-            if acc:
-                vec[p] = -acc
-        basis.append({cols[i]: v for i, v in vec.items()})
-    return basis
+    ints = (_primitive({col_index[c]: v for c, v in raw.items() if v}) for raw in rows)
+    # sparsest rows first, ties by leading column: the basis does not depend
+    # on the row order, and this order keeps fill-in low
+    ints = sorted(filter(None, ints), key=lambda row: (len(row), min(row)))
+    residues: dict[int, dict[int, int]] = {}
+    chosen = [
+        row
+        for row in ints
+        if _add_row({c: r for c, v in row.items() if (r := v % _P)}, residues, _P)
+    ]
+    if len(chosen) == len(cols):
+        return []  # full column rank mod p, hence over Q: the kernel is zero
+    for subset in (chosen, ints):
+        # pivot column index -> reduced row (leading coefficient normalized to
+        # 1); a pivot row has no entries at columns left of its pivot
+        pivots: dict[int, dict[int, Fraction]] = {}
+        for row in subset:
+            _add_row(dict(row), pivots)
+        order = sorted(pivots, reverse=True)
+        basis = []
+        for free in range(len(cols)):
+            if free in pivots:
+                continue
+            vec: dict[int, Fraction] = {free: Fraction(1)}
+            # back-substitute highest pivot first; pivot rows only reach rightwards
+            for p in order:
+                acc = sum(
+                    (v * vec[c] for c, v in pivots[p].items() if c != p and c in vec),
+                    Fraction(0),
+                )
+                if acc:
+                    vec[p] = -acc
+            basis.append(vec)
+        # the certificate: every original row vanishes on every basis vector
+        scaled = [_primitive(vec) for vec in basis]
+        if not any(
+            sum(v * w.get(c, 0) for c, v in row.items()) for w in scaled for row in ints
+        ):
+            return [{cols[i]: v for i, v in vec.items()} for vec in basis]
+    raise ArithmeticError("exact elimination failed its own certificate")
 
 
 class SpanBuilder:
@@ -99,25 +135,3 @@ class SpanBuilder:
 
     def vectors(self) -> list[SparseVec]:
         return [dict(v) for v in self._pivots.values()]
-
-
-def rank_dense(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of a small dense rational matrix."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank

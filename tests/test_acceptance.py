@@ -45,8 +45,9 @@ from heisvir import (
     weight_dims,
     windows_equal,
 )
-from heisvir.linalg import rank_dense
 from heisvir.scalars import is_integer, random_noninteger, random_rational
+
+from oracles import rank_dense
 
 F = Fraction
 

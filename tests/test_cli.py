@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from heisvir.cli import _sweep_workers, run
+from heisvir import cli
+from heisvir.cli import _sweep_workers, build_parser, run
 
 
 def run_json(capsys, argv, expect_code=0):
@@ -195,3 +196,48 @@ def test_sweep_rejects_non_array(tmp_path, capsys):
     grid.write_text(json.dumps({"alpha": "1/3"}))
     assert run(["sweep", str(grid)]) == 2
     capsys.readouterr()
+
+
+CAPPED = [
+    (["classify", "--alpha", "1/3", "--beta", "2", "--window"], cli.MAX_CLASSIFY_WINDOW),
+    (["sweep", "grid.json", "--window"], cli.MAX_CLASSIFY_WINDOW),
+    (["check-axioms", "--window"], cli.MAX_AXIOM_WINDOW),
+    (["module-table", "mod.json", "--window"], cli.MAX_MODULE_WINDOW),
+    (["torsion", "mod.json", "--window"], cli.MAX_MODULE_WINDOW),
+    (["verma-singular", "--hw", "0,0,0,0,0", "--depth"], cli.MAX_VERMA_DEPTH),
+    (["verma-dims", "--max"], cli.MAX_VERMA_DIMS),
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started above a size cap")
+
+    for name in (
+        "solve_scalar",
+        "basis_window",
+        "build_window",
+        "_load_module_window",
+        "i_torsion",
+        "singular_space",
+        "level_basis",
+        "weight_dims",
+    ):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv, cap", CAPPED, ids=[argv[0] for argv, _ in CAPPED])
+def test_size_caps_reject_before_work(capsys, no_work, argv, cap):
+    assert build_parser().parse_args(argv + [str(cap)]).fn  # the cap itself is allowed
+    assert run(argv + [str(cap + 1)]) == 2
+    assert f"{cap + 1} is above the cap of {cap}" in capsys.readouterr().err
+
+
+def test_sweep_point_window_capped(tmp_path, capsys, no_work):
+    grid = tmp_path / "grid.json"
+    big = cli.MAX_CLASSIFY_WINDOW + 1
+    grid.write_text(json.dumps([{"alpha": "1/3", "beta": "2", "window": big}]))
+    assert run(["sweep", str(grid)]) == 1
+    (line,) = [json.loads(s) for s in capsys.readouterr().out.strip().splitlines()]
+    assert line["error"] == f"window {big} is above the cap of {cli.MAX_CLASSIFY_WINDOW}"

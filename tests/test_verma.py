@@ -26,8 +26,9 @@ from heisvir import (
     weight_dims,
     xgen,
 )
-from heisvir.linalg import rank_dense
 from heisvir.scalars import random_rational
+
+from oracles import rank_dense
 
 F = Fraction
 
