@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .scalars import Rational, rat_str
@@ -24,6 +25,8 @@ from .scalars import Rational, rat_str
 _KINDS = ("x", "I", "CD", "CDI", "CI")
 _CENTRAL = frozenset({"CD", "CDI", "CI"})
 _KIND_ORDER = {k: i for i, k in enumerate(_KINDS)}
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 #: Sentinel returned by :func:`degree` for inhomogeneous elements.
 NONHOMOGENEOUS = object()
@@ -92,6 +95,13 @@ class LieElement:
         self._coeffs = table
 
     @classmethod
+    def _from_table(cls, table: dict[Gen, Fraction]) -> "LieElement":
+        """Wrap a table whose values are already Fractions, dropping zeros."""
+        el = cls.__new__(cls)
+        el._coeffs = {g: c for g, c in table.items() if c}
+        return el
+
+    @classmethod
     def from_gen(cls, g: Gen, coeff: Rational = Fraction(1)) -> "LieElement":
         return cls({g: Fraction(coeff)})
 
@@ -119,25 +129,25 @@ class LieElement:
             return NotImplemented
         table = dict(self._coeffs)
         for g, c in other._coeffs.items():
-            table[g] = table.get(g, Fraction(0)) + c
-        return LieElement(table)
+            table[g] = table.get(g, _ZERO) + c
+        return LieElement._from_table(table)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         if not isinstance(other, LieElement):
             return NotImplemented
         table = dict(self._coeffs)
         for g, c in other._coeffs.items():
-            table[g] = table.get(g, Fraction(0)) - c
-        return LieElement(table)
+            table[g] = table.get(g, _ZERO) - c
+        return LieElement._from_table(table)
 
     def __neg__(self) -> "LieElement":
-        return LieElement({g: -c for g, c in self._coeffs.items()})
+        return LieElement._from_table({g: -c for g, c in self._coeffs.items()})
 
     def scale(self, scalar: Rational) -> "LieElement":
         s = Fraction(scalar)
         if not s:
             return LieElement()
-        return LieElement({g: c * s for g, c in self._coeffs.items()})
+        return LieElement._from_table({g: c * s for g, c in self._coeffs.items()})
 
     def __mul__(self, scalar: object) -> "LieElement":
         if isinstance(scalar, (int, Fraction)):
@@ -161,59 +171,64 @@ class LieElement:
         return f"LieElement({format_element(self)!r})"
 
 
-def _basis_bracket(a: Gen, b: Gen) -> LieElement:
-    """Bracket of two basis generators."""
+@lru_cache(maxsize=1 << 16)  # bounded for callers that reach large indices
+def _pair(a: Gen, b: Gen) -> tuple[tuple[Gen, Fraction], ...]:
+    """Structure constants: [a, b] of two generators as (generator, coefficient)
+    terms, each generator once and every coefficient nonzero."""
     if a.central or b.central:
-        return LieElement()
+        return ()
     n, m = a.n, b.n
-    if a.kind == "x" and b.kind == "x":
-        out: dict[Gen, Fraction] = {}
-        if m != n:
-            out[xgen(n + m)] = Fraction(m - n)
-        if n == -m:
-            c = Fraction(n**3 - n, 12)
-            if c:
-                out[CD] = c
-        return LieElement(out)
-    if a.kind == "x" and b.kind == "I":
-        out = {}
-        if m != 0:
-            out[igen(n + m)] = Fraction(m)
-        if n == -m:
-            c = Fraction(n * n + n)
-            if c:
-                out[CDI] = c
-        return LieElement(out)
     if a.kind == "I" and b.kind == "x":
-        return -_basis_bracket(b, a)
-    # I with I: pure center
-    if n == -m and n != 0:
-        return LieElement({CI: Fraction(n)})
-    return LieElement()
+        return tuple((g, -c) for g, c in _pair(b, a))
+    terms: list[tuple[Gen, Fraction]] = []
+    if a.kind == "I":  # with I: pure center
+        if n == -m and n != 0:
+            terms.append((CI, Fraction(n)))
+    elif b.kind == "x":
+        if m != n:
+            terms.append((xgen(n + m), Fraction(m - n)))
+        if n == -m and n**3 != n:
+            terms.append((CD, Fraction(n**3 - n, 12)))
+    else:
+        if m != 0:
+            terms.append((igen(n + m), Fraction(m)))
+        if n == -m and n * n != -n:
+            terms.append((CDI, Fraction(n * n + n)))
+    return tuple(terms)
+
+
+def _table(a: LieElement | Gen) -> dict[Gen, Fraction]:
+    return {a: _ONE} if isinstance(a, Gen) else a._coeffs
+
+
+def _bracket_into(
+    out: dict[Gen, Fraction], left: dict[Gen, Fraction], right: dict[Gen, Fraction]
+) -> dict[Gen, Fraction]:
+    """Add [left, right] of two coefficient tables into ``out``; zeros may stay."""
+    for ga, ca in left.items():
+        for gb, cb in right.items():
+            terms = _pair(ga, gb)
+            if not terms:
+                continue
+            # skip multiplications by one: basis arguments are the common case
+            cab = cb if ca is _ONE else ca if cb is _ONE else ca * cb
+            for g, c in terms:
+                out[g] = out.get(g, _ZERO) + (c if cab is _ONE else cab * c)
+    return out
 
 
 def bracket(a: LieElement | Gen, b: LieElement | Gen) -> LieElement:
     """Lie bracket, extended bilinearly from the basis table."""
-    if isinstance(a, Gen):
-        a = LieElement.from_gen(a)
-    if isinstance(b, Gen):
-        b = LieElement.from_gen(b)
-    total = LieElement()
-    for ga, ca in a._coeffs.items():
-        for gb, cb in b._coeffs.items():
-            term = _basis_bracket(ga, gb)
-            if term:
-                total = total + term.scale(ca * cb)
-    return total
+    return LieElement._from_table(_bracket_into({}, _table(a), _table(b)))
 
 
 def jacobiator(a: LieElement | Gen, b: LieElement | Gen, c: LieElement | Gen) -> LieElement:
     """[a,[b,c]] + [b,[c,a]] + [c,[a,b]]; vanishes identically for a Lie algebra."""
-    return (
-        bracket(a, bracket(b, c))
-        + bracket(b, bracket(c, a))
-        + bracket(c, bracket(a, b))
-    )
+    ta, tb, tc = _table(a), _table(b), _table(c)
+    out: dict[Gen, Fraction] = {}
+    for x, y, z in ((ta, tb, tc), (tb, tc, ta), (tc, ta, tb)):
+        _bracket_into(out, x, _bracket_into({}, y, z))
+    return LieElement._from_table(out)
 
 
 def degree(obj: LieElement | Gen):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .algebra import Gen, LieElement, bracket, igen, xgen
+from .algebra import Gen, bracket, igen, xgen
 from .scalars import is_integer, rat, rat_str
 
 _ZERO = Fraction(0)
@@ -242,24 +242,6 @@ class ModuleWindow:
                         out[key] = out.get(key, _ZERO) + entry * c
         return {key: c for key, c in out.items() if c}
 
-    def apply_elem(self, el: LieElement, vec: Vec) -> Vec:
-        out: Vec = {}
-        for gen, coeff in el.items():
-            for key, c in self.apply(gen, vec).items():
-                out[key] = out.get(key, _ZERO) + coeff * c
-        return {key: c for key, c in out.items() if c}
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, _ZERO) - c
-    return {key: c for key, c in out.items() if c}
-
-
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return not vec_sub(a, b)
-
 
 def _family_dim(spec: ModuleSpec, k: int) -> int:
     if isinstance(spec, (ExtCaseA, ExtCaseB)):
@@ -386,21 +368,44 @@ def module_defects(
     gens = [xgen(i) for i in range(-degree_bound, degree_bound + 1)]
     if include_i:
         gens += [igen(i) for i in range(-degree_bound, degree_bound + 1)]
+    # images[key][g] = g . v_key, computed once per basis vector and generator
+    images: dict[tuple[int, int], dict[Gen, Vec]] = {}
+
+    def image(g: Gen, key: tuple[int, int]) -> Vec:
+        row = images.setdefault(key, {})
+        vec = row.get(g)
+        if vec is None:
+            vec = row[g] = w.apply(g, {key: _ONE})
+        return vec
+
     bad: list[tuple[Gen, Gen, int, int]] = []
     for ai, a in enumerate(gens):
         for b in gens[ai + 1 :]:
             if composite_bound is not None and abs(a.n + b.n) > composite_bound:
                 continue
             margin = abs(a.n) + abs(b.n)
-            lie = bracket(a, b)
+            lie = list(bracket(a, b).items())
             for k in range(-w.n + margin, w.n - margin + 1):
                 for comp in range(w.dim(k)):
-                    v = w.basis_vec(k, comp)
-                    lhs = w.apply_elem(lie, v)
-                    rhs = vec_sub(w.apply(a, w.apply(b, v)), w.apply(b, w.apply(a, v)))
-                    if not vec_eq(lhs, rhs):
+                    key = (k, comp)
+                    # [a,b]v - a(bv) + b(av), accumulated in one table
+                    defect: Vec = {}
+                    for g, coeff in lie:
+                        _axpy(defect, coeff, image(g, key))
+                    for t, e in image(b, key).items():
+                        _axpy(defect, -e, image(a, t))
+                    for t, e in image(a, key).items():
+                        _axpy(defect, e, image(b, t))
+                    if any(defect.values()):
                         bad.append((a, b, k, comp))
     return bad
+
+
+def _axpy(out: Vec, scale: Fraction, vec: Vec) -> None:
+    """out += scale * vec."""
+    for key, c in vec.items():
+        term = scale * c
+        out[key] = out[key] + term if key in out else term
 
 
 # ---------------------------------------------------------------------------

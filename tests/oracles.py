@@ -4,6 +4,11 @@
 ``heisvir.linalg.sparse_nullspace`` replaced: every row is reduced exactly,
 with the same smallest-column pivot rule, so for a fixed column order it
 returns the same canonical basis.  It is slow and kept only as an oracle.
+
+``bracket_oracle``, ``jacobiator_oracle``, ``straighten_oracle`` and
+``module_defects_oracle`` are the element-by-element versions that the pair
+table of structure constants replaced: every basis pair builds its own
+``LieElement`` and every sum builds a new one.
 """
 
 from __future__ import annotations
@@ -11,7 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
+from heisvir.algebra import CD, CDI, CI, Gen, LieElement, igen, xgen
+
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def fraction_nullspace(rows: Iterable[dict], cols: Sequence[Hashable]) -> list[dict]:
@@ -71,3 +79,141 @@ def rank_dense(rows: Sequence[Sequence[Fraction | int]]) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def _basis_bracket(a: Gen, b: Gen) -> LieElement:
+    """Bracket of two basis generators."""
+    if a.central or b.central:
+        return LieElement()
+    n, m = a.n, b.n
+    if a.kind == "x" and b.kind == "x":
+        out: dict[Gen, Fraction] = {}
+        if m != n:
+            out[xgen(n + m)] = Fraction(m - n)
+        if n == -m:
+            c = Fraction(n**3 - n, 12)
+            if c:
+                out[CD] = c
+        return LieElement(out)
+    if a.kind == "x" and b.kind == "I":
+        out = {}
+        if m != 0:
+            out[igen(n + m)] = Fraction(m)
+        if n == -m:
+            c = Fraction(n * n + n)
+            if c:
+                out[CDI] = c
+        return LieElement(out)
+    if a.kind == "I" and b.kind == "x":
+        return -_basis_bracket(b, a)
+    # I with I: pure center
+    if n == -m and n != 0:
+        return LieElement({CI: Fraction(n)})
+    return LieElement()
+
+
+def bracket_oracle(a: LieElement | Gen, b: LieElement | Gen) -> LieElement:
+    """Lie bracket, extended bilinearly from the basis table."""
+    if isinstance(a, Gen):
+        a = LieElement.from_gen(a)
+    if isinstance(b, Gen):
+        b = LieElement.from_gen(b)
+    total = LieElement()
+    for ga, ca in a.items():
+        for gb, cb in b.items():
+            term = _basis_bracket(ga, gb)
+            if term:
+                total = total + term.scale(ca * cb)
+    return total
+
+
+def jacobiator_oracle(a, b, c) -> LieElement:
+    """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] through ``bracket_oracle``."""
+    return (
+        bracket_oracle(a, bracket_oracle(b, c))
+        + bracket_oracle(b, bracket_oracle(c, a))
+        + bracket_oracle(c, bracket_oracle(a, b))
+    )
+
+
+def _rank(g: Gen) -> tuple[int, int]:
+    if g.n < 0:
+        return (0 if g.kind == "x" else 1, g.n)
+    return (2, 0)
+
+
+def straighten_oracle(word: tuple[Gen, ...], hw) -> dict[tuple[Gen, ...], Fraction]:
+    """word . hw over canonical monomial words, by the worklist rewriting of
+    ``heisvir.verma._straighten`` with ``bracket_oracle`` and no cache."""
+    central = {"CD": hw.c_d, "CDI": hw.c_di, "CI": hw.c_i}
+    out: dict[tuple[Gen, ...], Fraction] = {}
+    stack: list[tuple[Fraction, tuple[Gen, ...]]] = [(_ONE, word)]
+    while stack:
+        coeff, w = stack.pop()
+        alive = True
+        while w:
+            f = w[-1]
+            if f.central:
+                coeff *= central[f.kind]
+            elif f.n == 0:
+                coeff *= hw.lam if f.kind == "x" else hw.lam_i
+            elif f.n > 0:
+                alive = False
+            else:
+                break
+            if not alive or not coeff:
+                alive = False
+                break
+            w = w[:-1]
+        if not alive or not coeff:
+            continue
+        pos = next(
+            (j for j in range(len(w) - 1) if _rank(w[j]) > _rank(w[j + 1])), None
+        )
+        if pos is None:
+            out[w] = out.get(w, _ZERO) + coeff
+            continue
+        f, g = w[pos], w[pos + 1]
+        stack.append((coeff, w[:pos] + (g, f) + w[pos + 2 :]))
+        for h, c in bracket_oracle(f, g).items():
+            stack.append((coeff * c, w[:pos] + (h,) + w[pos + 2 :]))
+    return {w: c for w, c in out.items() if c}
+
+
+def _vec_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, _ZERO) - c
+    return {key: c for key, c in out.items() if c}
+
+
+def _apply_elem(w, el: LieElement, vec: dict) -> dict:
+    out: dict = {}
+    for gen, coeff in el.items():
+        for key, c in w.apply(gen, vec).items():
+            out[key] = out.get(key, _ZERO) + coeff * c
+    return {key: c for key, c in out.items() if c}
+
+
+def module_defects_oracle(
+    w, degree_bound: int, include_i: bool = True, composite_bound: int | None = None
+) -> list[tuple[Gen, Gen, int, int]]:
+    """``heisvir.module_defects`` recomputing a.v, b.v and [a,b].v for every pair."""
+    gens = [xgen(i) for i in range(-degree_bound, degree_bound + 1)]
+    if include_i:
+        gens += [igen(i) for i in range(-degree_bound, degree_bound + 1)]
+    bad: list[tuple[Gen, Gen, int, int]] = []
+    for ai, a in enumerate(gens):
+        for b in gens[ai + 1 :]:
+            if composite_bound is not None and abs(a.n + b.n) > composite_bound:
+                continue
+            margin = abs(a.n) + abs(b.n)
+            lie = bracket_oracle(a, b)
+            for k in range(-w.n + margin, w.n - margin + 1):
+                for comp in range(w.dim(k)):
+                    v = w.basis_vec(k, comp)
+                    lhs = _apply_elem(w, lie, v)
+                    rhs = _vec_sub(w.apply(a, w.apply(b, v)), w.apply(b, w.apply(a, v)))
+                    if _vec_sub(lhs, rhs):
+                        bad.append((a, b, k, comp))
+    return bad

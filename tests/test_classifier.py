@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisvir import (
     IntermediateParams,
@@ -179,6 +181,25 @@ def test_integer_offsets_mark_f_zero_reducible():
         fams = solve_scalar(a, b, 6)
         assert kinds(fams) == ["Constant"]
         assert fams[0].f_zero_reducible
+
+
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    _small_fractions,
+    st.one_of(st.sampled_from([F(0), F(1), F(1, 2)]), _small_fractions),
+)
+def test_family_kinds_do_not_depend_on_window(alpha, beta):
+    # generic: alpha - beta is not an integer, so there is no degenerate index
+    if (alpha - beta).denominator == 1:
+        alpha += F(1, 2)
+
+    def summary(n):
+        return [(f.kind, f.c_i, f.c_di, f.f_zero_reducible) for f in solve_scalar(alpha, beta, n)]
+
+    assert summary(6) == summary(8)
 
 
 def test_degenerate_index_outside_core_raises():

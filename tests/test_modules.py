@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,9 @@ from heisvir import (
     xgen,
 )
 from heisvir.scalars import random_rational
+from heisvir.verma import HighestWeight, truncation_window
+
+from oracles import module_defects_oracle
 
 F = Fraction
 
@@ -131,6 +135,47 @@ def test_corrupted_window_has_defects():
     actions[(igen(1), 0)] = [(1, ((F(99),),))]
     broken = ModuleWindow(w.offset, w.n, dict(w.dims), actions, dict(w.central_scalars))
     assert module_defects(broken, 2) != []
+    assert module_defects(broken, 2) == module_defects_oracle(broken, 2)
+
+
+def _corrupt(w: ModuleWindow, entries: dict) -> ModuleWindow:
+    """Overwrite the rank-one block of each (generator, index) in entries."""
+    bad = {(g, k): [(k + g.n, ((F(v),),))] for (g, k), v in entries.items()}
+    return replace(w, actions={**w.actions, **bad})
+
+
+@pytest.mark.parametrize(
+    "window, degree, broken",
+    [
+        # dense rank-one windows, one of them with a corrupted x and I block
+        (build_window(IntermediateParams(F(2, 5), F(-7, 5), F(3)), 9), 4, False),
+        (
+            _corrupt(
+                build_window(IntermediateParams(F(1, 3), F(2), F(5)), 9),
+                {(xgen(2), 1): 7, (igen(-3), -2): F(1, 2)},
+            ),
+            4,
+            True,
+        ),
+        # weight spaces of dimension above one, with central scalars that
+        # disagree with the highest weight the blocks were built from
+        (
+            replace(
+                truncation_window(HighestWeight(F(1, 2), 3, F(-1, 3), 2, 1), 5),
+                central_scalars={"CD": F(1), "CDI": F(0), "CI": F(-2)},
+            ),
+            2,
+            True,
+        ),
+    ],
+)
+def test_module_defects_match_oracle(window, degree, broken):
+    got = module_defects(window, degree)
+    assert bool(got) == broken
+    assert got == module_defects_oracle(window, degree)
+    assert module_defects(window, degree, include_i=False, composite_bound=2) == (
+        module_defects_oracle(window, degree, include_i=False, composite_bound=2)
+    )
 
 
 def test_vprime_window():
