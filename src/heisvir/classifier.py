@@ -295,11 +295,7 @@ class Quadratic:
             root = _rational_sqrt(self.c1 * self.c1 - 4 * self.c2 * self.c0)
             if root is None:
                 return []
-            candidates = {
-                (-self.c1 + root) / (2 * self.c2),
-                (-self.c1 - root) / (2 * self.c2),
-            }
-            return sorted(candidates)
+            return sorted({(-self.c1 + sign * root) / (2 * self.c2) for sign in (1, -1)})
         if self.c1:
             return [-self.c0 / self.c1]
         return []
@@ -394,19 +390,43 @@ def _spike_form(
     return phi
 
 
+class _Values(dict):
+    """Each unknown's value, computed on its first read and kept."""
+
+    def __init__(self, value: Callable[[tuple], Fraction]) -> None:
+        self.value = value
+
+    def __missing__(self, key: tuple) -> Fraction:
+        out = self[key] = self.value(key)
+        return out
+
+
+def _plug_back(
+    system, value: Callable[[tuple], Fraction], f: Fraction, c_di: Fraction, c_i: Fraction
+) -> bool:
+    """Does every row of a scalar or matrix system vanish, exactly, with the
+    unknowns at value(key)?  value is read once per key the rows touch."""
+    val = _Values(value)
+    for rel in system.linear:
+        acc = sum([c * val[key] for key, c in rel.terms], _ZERO)
+        if rel.f_coeff or rel.cdi_coeff:
+            acc += rel.f_coeff * f + rel.cdi_coeff * c_di
+        if acc:
+            return False
+    for rel in system.quadratic:
+        acc = sum([c * val[u] * val[v] for u, v, c in rel.products], _ZERO)
+        if rel.ci_coeff:
+            acc += rel.ci_coeff * c_i
+        if acc:
+            return False
+    return True
+
+
 def check_family(s: ScalarSystem, fam: SolutionFamily) -> bool:
     """Plug the family into every stored relation; exact zeros or bust."""
     phi = fam.closed_form
-    f_active = _ZERO if fam.kind == "AllZero" else _ONE
-    for rel in s.linear:
-        acc = sum((c * phi(*key) for key, c in rel.terms), _ZERO)
-        if acc + rel.f_coeff * f_active or rel.cdi_coeff * fam.c_di:
-            return False
-    for rel in s.quadratic:
-        acc = sum((c * phi(*u) * phi(*v) for u, v, c in rel.products), _ZERO)
-        if acc or rel.ci_coeff * fam.c_i:
-            return False
-    return True
+    f = _ZERO if fam.kind == "AllZero" else _ONE
+    return _plug_back(s, lambda key: phi(*key), f, fam.c_di, fam.c_i)
 
 
 # ---------------------------------------------------------------------------
@@ -425,59 +445,22 @@ def _linear_rows(relations: Iterable[LinearRelation]) -> list[dict]:
     return rows
 
 
-def _direction_key(v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    x, y = v
-    if x:
-        return (_ONE, y / x)
-    if y:
-        return (_ZERO, _ONE)
-    raise ValueError("zero direction")
+def _restrict(rel: QuadraticRelation, vecs: dict) -> dict[tuple, Fraction]:
+    """The row on the span of vecs: {(p, q): coefficient of t_p * t_q}, p <= q.
 
-
-def _form_on(
-    rel: QuadraticRelation,
-    b1: dict,
-    b2: dict,
-) -> tuple[Fraction, Fraction, Fraction]:
-    q20 = q11 = q02 = _ZERO
+    vecs maps a label to a vector of unknown values; the row is evaluated at
+    sum(t_p * vecs[p]).  Zero coefficients are left out.
+    """
+    out: dict[tuple, Fraction] = {}
     for u, v, c in rel.products:
-        x1, y1 = b1.get(u, _ZERO), b2.get(u, _ZERO)
-        x2, y2 = b1.get(v, _ZERO), b2.get(v, _ZERO)
-        q20 += c * x1 * x2
-        q11 += c * (x1 * y2 + y1 * x2)
-        q02 += c * y1 * y2
-    return q20, q11, q02
-
-
-def _form_lines(
-    q: tuple[Fraction, Fraction, Fraction]
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Root directions of a binary quadratic form; None when identically zero."""
-    q20, q11, q02 = q
-    if not (q20 or q11 or q02):
-        return None
-    lines: list[tuple[Fraction, Fraction]] = []
-    if not q20:
-        lines.append((_ONE, _ZERO))
-        if q11:
-            lines.append(_direction_key((-q02, q11)))
-    else:
-        root = _rational_sqrt(q11 * q11 - 4 * q20 * q02)
-        if root is not None:
-            for sign in (1, -1):
-                r = (-q11 + sign * root) / (2 * q20)
-                lines.append(_direction_key((r, _ONE)))
-    seen = []
-    for v in lines:
-        if v not in seen:
-            seen.append(v)
-    return seen
-
-
-def _eval_form(q: tuple[Fraction, Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
-    q20, q11, q02 = q
-    x, y = v
-    return q20 * x * x + q11 * x * y + q02 * y * y
+        for p, bp in vecs.items():
+            if xu := bp.get(u):
+                cu = c * xu
+                for q, bq in vecs.items():
+                    if xv := bq.get(v):
+                        key = (p, q) if p <= q else (q, p)
+                        out[key] = out.get(key, _ZERO) + cu * xv
+    return {key: c for key, c in out.items() if c}
 
 
 def _solve_dense(s: ScalarSystem) -> list[SolutionFamily]:
@@ -509,19 +492,24 @@ def _solve_dense(s: ScalarSystem) -> list[SolutionFamily]:
         return [constant]
 
     b1, b2 = basis
+    plane = {0: b1, 1: b2}
     plain = [rel for rel in s.quadratic if not rel.ci_coeff]
     central = [rel for rel in s.quadratic if rel.ci_coeff]
+    # a line is a direction (x, y) in the plane of x * b1 + y * b2
     lines: Optional[list[tuple[Fraction, Fraction]]] = None
-    forms = []
     for rel in plain:
-        q = _form_on(rel, b1, b2)
-        if q == (_ZERO, _ZERO, _ZERO):
+        form = _restrict(rel, plane)
+        if not form:
             continue
-        forms.append(q)
         if lines is None:
-            lines = _form_lines(q)
+            q = Quadratic(*(form.get(pq, _ZERO) for pq in ((0, 0), (0, 1), (1, 1))))
+            lines = [(r, _ONE) for r in q.roots_as_f_multiples()]
+            if not q.c2:
+                lines.append((_ONE, _ZERO))
         else:
-            lines = [v for v in lines if not _eval_form(q, v)]
+            lines = [
+                v for v in lines if not sum(c * v[a] * v[b] for (a, b), c in form.items())
+            ]
     if lines is None:
         raise UnclassifiedBranch("no quadratic relation cuts the parameter plane")
 
@@ -533,14 +521,8 @@ def _solve_dense(s: ScalarSystem) -> list[SolutionFamily]:
             for key in s.unknowns
         }
         f_val = b1.get(_F_COL, _ZERO) * v[0] + b2.get(_F_COL, _ZERO) * v[1]
-        # the charge from the [I, I] delta rows must be consistent and zero
-        ci_vals = set()
-        for rel in central:
-            acc = sum(
-                (c * values[u] * values[w] for u, w, c in rel.products), _ZERO
-            )
-            ci_vals.add(-acc / rel.ci_coeff)
-        if ci_vals - {_ZERO}:
+        # the charge from the [I, I] delta rows must be zero
+        if any(_restrict(rel, {0: values}) for rel in central):
             raise UnclassifiedBranch(
                 "a surviving branch forces a nonzero central charge"
             )
@@ -643,19 +625,7 @@ def _solve_punctured(s: ScalarSystem) -> list[SolutionFamily]:
     while changed and alive:
         changed = False
         for rel in s.quadratic:
-            entries: dict[tuple[int, int], Fraction] = {}
-            for u, v, c in rel.products:
-                for p, bp in alive.items():
-                    xu = bp.get(u, _ZERO)
-                    if not xu:
-                        continue
-                    for q, bq in alive.items():
-                        xv = bq.get(v, _ZERO)
-                        if not xv:
-                            continue
-                        key = (p, q) if p <= q else (q, p)
-                        entries[key] = entries.get(key, _ZERO) + c * xu * xv
-            entries = {k: c for k, c in entries.items() if c}
+            entries = _restrict(rel, alive)
             if len(entries) == 1:
                 (p, q), _ = next(iter(entries.items()))
                 if p == q:

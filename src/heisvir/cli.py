@@ -45,10 +45,12 @@ MAX_VERMA_DIMS = 28  # verma-dims --max
 
 
 def _capped(cap: int):
-    """argparse type: an int no larger than ``cap``."""
+    """argparse type: an int from 0 to ``cap``."""
 
     def capped_int(text: str) -> int:
         value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{value} is negative")
         if value > cap:
             raise argparse.ArgumentTypeError(f"{value} is above the cap of {cap}")
         return value

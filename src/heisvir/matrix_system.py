@@ -12,6 +12,7 @@ couples the two strands, i.e. whether a lower-left entry can survive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -24,6 +25,7 @@ from .classifier import (
     _F_COL,
     _backbone,
     _linear_rows,
+    _plug_back,
     _relation_layers,
 )
 from .linalg import sparse_nullspace
@@ -154,6 +156,8 @@ def constant_matrix_family(
     alpha = rat(alpha)
 
     def values(j: int, m: int) -> Block:
+        if not j:  # F[0, m] = 0, also at alpha + m = 0 where the formula is 0/0
+            return ((_ZERO, _ZERO), (_ZERO, _ZERO))
         scale = (alpha + 1) * j / (alpha + m + j)
         return tuple(
             tuple(scale * c_matrix[r][c] for c in range(2)) for r in range(2)
@@ -170,21 +174,9 @@ def check_matrix_family(
     c_i: Fraction = _ZERO,
 ) -> bool:
     """Plug a block-valued family into every stored relation; exact zeros."""
-    f_value, c_di, c_i = rat(f_value), rat(c_di), rat(c_i)
-    cache: dict[tuple[int, int], Block] = {}
+    block = functools.cache(values)
 
     def entry(key: tuple[int, int, int, int]) -> Fraction:
-        j, m, r, c = key
-        if (j, m) not in cache:
-            cache[(j, m)] = values(j, m)
-        return cache[(j, m)][r][c]
+        return block(key[0], key[1])[key[2]][key[3]]
 
-    for rel in system.linear:
-        acc = sum((c * entry(key) for key, c in rel.terms), _ZERO)
-        if acc + rel.f_coeff * f_value + rel.cdi_coeff * c_di:
-            return False
-    for rel in system.quadratic:
-        acc = sum((c * entry(u) * entry(v) for u, v, c in rel.products), _ZERO)
-        if acc + rel.ci_coeff * c_i:
-            return False
-    return True
+    return _plug_back(system, entry, rat(f_value), rat(c_di), rat(c_i))

@@ -9,14 +9,24 @@ returns the same canonical basis.  It is slow and kept only as an oracle.
 ``module_defects_oracle`` are the element-by-element versions that the pair
 table of structure constants replaced: every basis pair builds its own
 ``LieElement`` and every sum builds a new one.
+
+``check_family_oracle``, ``check_matrix_family_oracle`` and
+``form_on_oracle`` are the two plug-back loops and the two-vector form
+restriction that ``heisvir.classifier._plug_back`` and
+``heisvir.classifier._restrict`` replaced.  The scalar loop tests the
+central terms of a row on their own rather than inside its sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from heisvir.algebra import CD, CDI, CI, Gen, LieElement, igen, xgen
+from heisvir.classifier import QuadraticRelation, ScalarSystem, SolutionFamily
+from heisvir.matrix_system import MatrixSystem
+from heisvir.modules import Block
+from heisvir.scalars import rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -217,3 +227,61 @@ def module_defects_oracle(
                     if _vec_sub(lhs, rhs):
                         bad.append((a, b, k, comp))
     return bad
+
+
+def check_family_oracle(s: ScalarSystem, fam: SolutionFamily) -> bool:
+    """Plug the family into every stored relation; exact zeros or bust."""
+    phi = fam.closed_form
+    f_active = _ZERO if fam.kind == "AllZero" else _ONE
+    for rel in s.linear:
+        acc = sum((c * phi(*key) for key, c in rel.terms), _ZERO)
+        if acc + rel.f_coeff * f_active or rel.cdi_coeff * fam.c_di:
+            return False
+    for rel in s.quadratic:
+        acc = sum((c * phi(*u) * phi(*v) for u, v, c in rel.products), _ZERO)
+        if acc or rel.ci_coeff * fam.c_i:
+            return False
+    return True
+
+
+def check_matrix_family_oracle(
+    system: MatrixSystem,
+    values: Callable[[int, int], Block],
+    f_value: Fraction = _ZERO,
+    c_di: Fraction = _ZERO,
+    c_i: Fraction = _ZERO,
+) -> bool:
+    """Plug a block-valued family into every stored relation; exact zeros."""
+    f_value, c_di, c_i = rat(f_value), rat(c_di), rat(c_i)
+    cache: dict[tuple[int, int], Block] = {}
+
+    def entry(key: tuple[int, int, int, int]) -> Fraction:
+        j, m, r, c = key
+        if (j, m) not in cache:
+            cache[(j, m)] = values(j, m)
+        return cache[(j, m)][r][c]
+
+    for rel in system.linear:
+        acc = sum((c * entry(key) for key, c in rel.terms), _ZERO)
+        if acc + rel.f_coeff * f_value + rel.cdi_coeff * c_di:
+            return False
+    for rel in system.quadratic:
+        acc = sum((c * entry(u) * entry(v) for u, v, c in rel.products), _ZERO)
+        if acc + rel.ci_coeff * c_i:
+            return False
+    return True
+
+
+def form_on_oracle(
+    rel: QuadraticRelation,
+    b1: dict,
+    b2: dict,
+) -> tuple[Fraction, Fraction, Fraction]:
+    q20 = q11 = q02 = _ZERO
+    for u, v, c in rel.products:
+        x1, y1 = b1.get(u, _ZERO), b2.get(u, _ZERO)
+        x2, y2 = b1.get(v, _ZERO), b2.get(v, _ZERO)
+        q20 += c * x1 * x2
+        q11 += c * (x1 * y2 + y1 * x2)
+        q02 += c * y1 * y2
+    return q20, q11, q02

@@ -231,8 +231,12 @@ def test_materialized_families_are_modules():
             assert module_defects(w, 2) == []
 
 
-def test_rescaled_window_is_swapped_backbone():
-    a, f = F(1, 4), F(2, 3)
+@settings(max_examples=6, deadline=None)
+@given(
+    _small_fractions.filter(lambda a: a.denominator != 1),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_rescaled_window_is_swapped_backbone(a, f):
     resc0 = [x for x in solve_scalar(a, F(0), 6) if x.kind == "RescaledBeta0"][0]
     w0 = rescale_window(materialize_family(a, F(0), resc0, f, 6), lambda k: a + k)
     assert windows_equal(w0, build_window(IntermediateParams(a, F(1), f), 6))

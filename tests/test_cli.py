@@ -232,6 +232,8 @@ def test_size_caps_reject_before_work(capsys, no_work, argv, cap):
     assert build_parser().parse_args(argv + [str(cap)]).fn  # the cap itself is allowed
     assert run(argv + [str(cap + 1)]) == 2
     assert f"{cap + 1} is above the cap of {cap}" in capsys.readouterr().err
+    assert run(argv + ["-1"]) == 2
+    assert "-1 is negative" in capsys.readouterr().err
 
 
 def test_sweep_point_window_capped(tmp_path, capsys, no_work):

@@ -1,4 +1,5 @@
-"""Golden digests of the relation systems handed to the solvers.
+"""Golden digests of the relation systems handed to the solvers, and of the
+solver's output over a grid of points.
 
 Each digest hashes the unknowns, the linear rows in order and the quadratic
 rows in order.  Linear rows are hashed exactly as built, because they are the
@@ -23,6 +24,7 @@ from heisvir import (
     build_matrix_system,
     build_scalar_system,
 )
+from heisvir.cli import _sweep_point
 
 F = Fraction
 
@@ -91,3 +93,19 @@ def test_scalar_system_digest(args):
 def test_matrix_system_digest(args):
     fixture, alpha = args
     assert digest(build_matrix_system(2, fixture, alpha, 5)) == MATRIX[args]
+
+
+# 40 window-6 points covering all four dense-solver branches, the degenerate
+# discharge and the window-too-small error at alpha = 9
+SWEEP_ALPHAS = ["2/5", "-7/5", "1/4", "0", "3", "-2", "9", "1/2"]
+SWEEP_BETAS = ["0", "1", "-7/5", "1/2", "2"]
+SWEEP = "c10fbfe71570a94b8f5f78d8e96f610b12b72345ae58b0ca6ad3612cfceabb6b"
+
+
+def test_sweep_output_digest():
+    lines = [
+        _sweep_point({"alpha": a, "beta": b}, 6)[1]
+        for a in SWEEP_ALPHAS
+        for b in SWEEP_BETAS
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP

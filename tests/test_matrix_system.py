@@ -74,15 +74,18 @@ def test_constant_scalar_family_checks_out():
 
 
 def test_nilpotent_constant_family():
-    m = build_matrix_system(2, DiagonalPair(F(0), F(0)), A, 4)
-    c = ((F(0), F(0)), (F(1), F(0)))
-    values = constant_matrix_family(A, c)
-    assert values(0, 1) == ((F(0), F(0)), (F(0), F(0)))
-    assert values(2, 1) == ((F(0), F(0)), (2 * (A + 1) / (A + 3), F(0)))
-    assert check_matrix_family(m, values)
-    # a non-nilpotent C breaks the product relations
-    full = constant_matrix_family(A, ((F(1), F(0)), (F(0), F(1))))
-    assert not check_matrix_family(m, full)
+    # at an integer alpha the I(0) row at m = -alpha reads the family where
+    # its formula is 0/0
+    for alpha in [A, F(0), F(1), F(-2), F(3)]:
+        m = build_matrix_system(2, DiagonalPair(F(0), F(0)), alpha, 4)
+        c = ((F(0), F(0)), (F(1), F(0)))
+        values = constant_matrix_family(alpha, c)
+        assert values(0, 1) == ((F(0), F(0)), (F(0), F(0)))
+        assert values(2, 1) == ((F(0), F(0)), (2 * (alpha + 1) / (alpha + 3), F(0)))
+        assert check_matrix_family(m, values)
+        # a non-nilpotent C breaks the product relations
+        full = constant_matrix_family(alpha, ((F(1), F(0)), (F(0), F(1))))
+        assert not check_matrix_family(m, full)
 
 
 def test_obstruction_verdicts():
