@@ -286,9 +286,6 @@ class Quadratic:
     c1: Fraction
     c0: Fraction
 
-    def is_zero(self) -> bool:
-        return not (self.c2 or self.c1 or self.c0)
-
     def roots_as_f_multiples(self) -> list[Fraction]:
         """The rational r with t = r * F a root, sorted."""
         if self.c2:

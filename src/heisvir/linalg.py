@@ -4,24 +4,26 @@ The relation systems produced elsewhere in the package are sparse (a handful
 of entries per row) with columns keyed by structured tuples rather than dense
 indices, so this module works directly with ``dict`` rows.
 
-``sparse_nullspace`` clears each row to one primitive integer row.  Most rows
-are redundant, so Gauss elimination mod the prime p = 2^61 - 1 picks the rows
-to keep (rows independent mod p are independent over Q), and exact
-``Fraction`` elimination runs on those only.  Every original row must then
-vanish exactly on every basis vector; if one does not, the exact elimination
-is redone on all rows.  No unchecked basis is returned and no float is used.
+``sparse_nullspace`` clears each row to one primitive integer row, eliminates
+mod the prime p = 2^61 - 1, back-substitutes mod p and lifts each residue by
+rational reconstruction (numerator and denominator up to sqrt(p/2) ~ 2^30).
+Every original row must vanish exactly on every lifted vector.  If a residue
+has no lift or a row does not vanish, exact ``Fraction`` elimination runs on
+the rows independent mod p (hence over Q), then on all rows, under the same
+certificate.  No unchecked basis is returned and no float is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Hashable, Iterable, Sequence
 
 SparseRow = dict  # col_key -> int or Fraction, zeros never stored
 SparseVec = dict
 
 _P = 2**61 - 1
+_BOUND = isqrt(_P // 2)  # numerator and denominator bound of a lifted entry
 
 
 def _add_row(row: dict, pivots: dict, modulus: int = 0) -> bool:
@@ -60,6 +62,32 @@ def _primitive(vec: dict) -> dict:
     return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
+def _rational(r: int) -> Fraction | None:
+    """The fraction a/b = r mod p with |a|, b <= _BOUND, or None if there is
+    none; 2 * _BOUND**2 < p makes it unique (Wang's half-extended Euclid)."""
+    r0, r1, s0, s1 = _P, r % _P, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= _BOUND else None
+
+
+def _back_substitute(pivots: dict, ncols: int, modulus: int = 0) -> list[dict]:
+    """One kernel vector per free column of an echelon form: 1 there, then the
+    pivot columns in descending order; residues mod a nonzero ``modulus``."""
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: 1 if modulus else Fraction(1)}
+        for p in sorted(pivots, reverse=True):  # pivot rows only reach rightwards
+            acc = -sum(v * vec[c] for c, v in pivots[p].items() if c != p and c in vec)
+            if acc := (acc % modulus if modulus else acc):
+                vec[p] = acc
+        basis.append(vec)
+    return basis
+
+
 def sparse_nullspace(
     rows: Iterable[SparseRow], cols: Sequence[Hashable]
 ) -> list[SparseVec]:
@@ -69,6 +97,12 @@ def sparse_nullspace(
     ``int`` or ``Fraction`` coefficient); ``cols`` fixes the column order used
     for pivot selection. Returns one sparse vector per free column, keyed like
     the rows; for a fixed column order the basis is canonical.
+
+    A certified lift is that canonical basis.  Ranks mod p never exceed ranks
+    over Q, so the k lifted vectors, independent by their free columns and in
+    the kernel over Q, span it.  A kernel vector's highest nonzero column is
+    free over Q (a pivot entry is fixed by the entries right of it), so the
+    free columns agree, and a kernel vector is fixed by its free coordinates.
     """
     col_index = {c: i for i, c in enumerate(cols)}
     ints = (_primitive({col_index[c]: v for c, v in raw.items() if v}) for raw in rows)
@@ -83,27 +117,21 @@ def sparse_nullspace(
     ]
     if len(chosen) == len(cols):
         return []  # full column rank mod p, hence over Q: the kernel is zero
-    for subset in (chosen, ints):
-        # pivot column index -> reduced row (leading coefficient normalized to
-        # 1); a pivot row has no entries at columns left of its pivot
-        pivots: dict[int, dict[int, Fraction]] = {}
-        for row in subset:
-            _add_row(dict(row), pivots)
-        order = sorted(pivots, reverse=True)
-        basis = []
-        for free in range(len(cols)):
-            if free in pivots:
-                continue
-            vec: dict[int, Fraction] = {free: Fraction(1)}
-            # back-substitute highest pivot first; pivot rows only reach rightwards
-            for p in order:
-                acc = sum(
-                    (v * vec[c] for c, v in pivots[p].items() if c != p and c in vec),
-                    Fraction(0),
-                )
-                if acc:
-                    vec[p] = -acc
-            basis.append(vec)
+
+    def candidates():
+        lifted = [
+            {c: _rational(r) for c, r in vec.items()}
+            for vec in _back_substitute(residues, len(cols), _P)
+        ]
+        if not any(None in vec.values() for vec in lifted):
+            yield lifted
+        for subset in (chosen, ints):
+            pivots: dict[int, dict[int, Fraction]] = {}
+            for row in subset:
+                _add_row(dict(row), pivots)
+            yield _back_substitute(pivots, len(cols))
+
+    for basis in candidates():
         # the certificate: every original row vanishes on every basis vector
         scaled = [_primitive(vec) for vec in basis]
         if not any(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 
 from .algebra import Gen, LieElement, _pair, igen, xgen
 from .algebra import bracket  # noqa: F401  re-exported: the benchmark wraps verma.bracket
@@ -189,7 +190,7 @@ def _straighten(word: tuple[Gen, ...], hw: HighestWeight) -> tuple[
         if not alive or not coeff:
             continue
         pos = next(
-            (j for j in range(len(w) - 1) if _rank(w[j]) > _rank(w[j + 1])), None
+            (j for j, (a, b) in enumerate(pairwise(map(_rank, w))) if a > b), None
         )
         if pos is None:
             out[w] = out.get(w, _ZERO) + coeff

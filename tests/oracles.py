@@ -10,6 +10,11 @@ returns the same canonical basis.  It is slow and kept only as an oracle.
 table of structure constants replaced: every basis pair builds its own
 ``LieElement`` and every sum builds a new one.
 
+``coupling_verdict_oracle`` is ``verify_coupling_obstruction`` with the
+columns in the order of ``system.unknowns``, as before they were ordered by
+|j|, and ``validate_backbone_oracle`` is the x-bracket check of a backbone
+that multiplies every entry, zero or not.
+
 ``check_family_oracle``, ``check_matrix_family_oracle`` and
 ``form_on_oracle`` are the two plug-back loops and the two-vector form
 restriction that ``heisvir.classifier._plug_back`` and
@@ -23,7 +28,15 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from heisvir.algebra import CD, CDI, CI, Gen, LieElement, igen, xgen
-from heisvir.classifier import QuadraticRelation, ScalarSystem, SolutionFamily
+from heisvir.classifier import (
+    _CDI_COL,
+    _F_COL,
+    QuadraticRelation,
+    ScalarSystem,
+    SolutionFamily,
+    _linear_rows,
+)
+from heisvir.linalg import sparse_nullspace
 from heisvir.matrix_system import MatrixSystem
 from heisvir.modules import Block
 from heisvir.scalars import rat
@@ -285,3 +298,43 @@ def form_on_oracle(
         q11 += c * (x1 * y2 + y1 * x2)
         q02 += c * y1 * y2
     return q20, q11, q02
+
+
+def coupling_verdict_oracle(system: MatrixSystem) -> bool:
+    rows = _linear_rows(
+        rel for rel in system.linear if all(key[3] == 0 for key, _ in rel.terms)
+    )
+    cols: list = [key for key in system.unknowns if key[3] == 0]
+    basis = sparse_nullspace(rows, cols + [_F_COL, _CDI_COL])
+    n = system.window
+    for vec in basis:
+        for key, val in vec.items():
+            if key in (_F_COL, _CDI_COL) or not val:
+                continue
+            j, m, r, _c = key
+            if r == 1 and abs(j) <= n - 2 and abs(m) <= n - 2:
+                return False
+    return True
+
+
+def validate_backbone_oracle(x: dict[tuple[int, int], Block], n: int) -> None:
+    degs = sorted({i for i, _ in x})
+    for i in degs:
+        for j in degs:
+            if (i + j, 0) not in x:
+                continue
+            for m in range(-n, n + 1):
+                ai_after, aj_first = x[(i, m + j)], x[(j, m)]
+                aj_after, ai_first = x[(j, m + i)], x[(i, m)]
+                target = x[(i + j, m)]
+                for r in range(2):
+                    for c in range(2):
+                        lhs = sum(
+                            ai_after[r][k] * aj_first[k][c]
+                            - aj_after[r][k] * ai_first[k][c]
+                            for k in range(2)
+                        )
+                        if lhs != (j - i) * target[r][c]:
+                            raise ValueError(
+                                f"fixture blocks break the x-bracket at i={i}, j={j}, m={m}"
+                            )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,9 @@ from heisvir import (
     x_blocks,
 )
 from heisvir.classifier import _backbone
+from heisvir.matrix_system import _validate_backbone
+
+from oracles import coupling_verdict_oracle, validate_backbone_oracle
 
 F = Fraction
 A = F(1, 3)
@@ -105,3 +109,49 @@ def test_adjacent_backbones_admit_linear_coupling():
     coupling = lambda j, n: ((F(0), F(0)), (F(j), F(0)))
     assert check_matrix_family(m, coupling, f_value=F(0))
     assert verify_coupling_obstruction(m) is False
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize(
+    "fixture, alpha",
+    [
+        (ExtCaseA(alpha=A), A),
+        (ExtCaseA(alpha=F(-7, 5)), F(-7, 5)),
+        (ExtCaseB(alpha=A), A),
+        (ExtCaseB(alpha=F(4, 5)), F(4, 5)),
+        (DiagonalPair(F(0), F(0)), F(9, 5)),
+        (DiagonalPair(F(0), F(0)), F(2)),
+        (DiagonalPair(F(2), F(3)), F(-1)),
+        (DiagonalPair(F(1, 2), F(-2)), A),
+    ],
+)
+def test_coupling_verdict_does_not_depend_on_column_order(fixture, alpha, n):
+    system = build_matrix_system(2, fixture, alpha, n)
+    assert verify_coupling_obstruction(system) == coupling_verdict_oracle(system)
+
+
+@pytest.mark.parametrize(
+    "strands",
+    [(ExtCaseA(alpha=A),), (ExtCaseB(alpha=A),), (Vab(A, F(0)), Vab(A, F(2)))],
+    ids=["ExtCaseA", "ExtCaseB", "DiagonalPair"],
+)
+@pytest.mark.parametrize(
+    "key, r, c, zero_out",
+    [((1, 0), 1, 0, False), ((2, -1), 0, 1, False), ((-1, 2), 0, 0, True),
+     ((0, 1), 1, 1, True), ((-2, -3), 1, 1, False)],
+)
+def test_perturbed_backbone_raises(strands, key, r, c, zero_out):
+    n = 4
+    x = _backbone(strands, n)
+    _validate_backbone(x, n)
+    block = [list(row) for row in x[key]]
+    block[r][c] = F(0) if zero_out else block[r][c] + 1
+    x[key] = tuple(map(tuple, block))
+    with pytest.raises(ValueError) as got:
+        _validate_backbone(x, n)
+    with pytest.raises(ValueError) as want:
+        validate_backbone_oracle(x, n)
+    assert str(got.value) == str(want.value)
+    i, j, m = map(int, re.search(r"i=(-?\d+), j=(-?\d+), m=(-?\d+)", str(got.value)).groups())
+    # the named bracket reads the perturbed block
+    assert key in {(i, m + j), (j, m), (j, m + i), (i, m), (i + j, m)}
